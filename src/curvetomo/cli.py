@@ -43,6 +43,7 @@ from .operators import (
     CutoffAtlas,
     LevelSetTransform,
     NormalOperator,
+    Sinogram,
     build_default_atlas,
     make_image_grid,
 )
@@ -77,7 +78,6 @@ class _Run:
             "config_hash": config.hash(),
             "seed": getattr(args, "seed", None) or config.seed,
             "chunk_t": config.chunk_t,
-            "threads": int(os.environ.get("CURVETOMO_THREADS", "1")),
             "inputs": {},
             "outputs": {},
             "metrics": {},
@@ -163,9 +163,8 @@ def cmd_adjoint_test(args, config, run):
         f = img.like(ndimage.gaussian_filter(rng.standard_normal((img.nx, img.ny)), 3.0))
         rad = np.hypot(*np.moveaxis(img.pixel_centers(), -1, 0))
         f = img.like(f.values * (rad <= 0.95 * img.support_radius))
-        gv = ndimage.gaussian_filter(
-            rng.standard_normal((len(tr.s_grid), len(tr.t_grid))), 3.0, mode="wrap")
-        g = tr.forward(f).like(gv)
+        g = Sinogram(tr.s_grid, tr.t_grid, ndimage.gaussian_filter(
+            rng.standard_normal((len(tr.s_grid), len(tr.t_grid))), 3.0, mode="wrap"))
         Af = tr.forward(f)
         bp = tr.adjoint(g)
         rel = abs(Af.inner(g) - f.inner(bp)) / (Af.norm() * g.norm())

@@ -38,12 +38,6 @@ def omega_perp(t):
     return np.stack([-np.sin(t), np.cos(t)], axis=-1)
 
 
-def rot90(v):
-    """Counterclockwise quarter turn of vectors stacked on the last axis."""
-    v = np.asarray(v, dtype=float)
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
-
-
 def smoothstep_c2(u):
     """Quintic smoothstep: 0 -> 0, 1 -> 1 with vanishing first and second
     derivatives at both ends (C^2 join against constants)."""
@@ -496,6 +490,22 @@ class PhaseFunction:
     def _check(self, t, x):
         return None
 
+    # Batch callers that evaluate the same times many times over (the
+    # tracer) compute the factors of phi that depend on t alone once, with
+    # ``_time_factor(t)`` for t of shape (n,), and pass them to ``_eval_at``
+    # and ``_grad_x_at`` with t.  Rows of the factor follow the points, so
+    # callers select them along with the points.  Phases with such a factor
+    # write phi and its gradient only in these two methods, which their
+    # ``_eval_raw`` and ``_grad_x_raw`` call; the others ignore the factor.
+    def _time_factor(self, t):
+        return t
+
+    def _eval_at(self, t, factor, x):
+        return self._eval_raw(t, x)
+
+    def _grad_x_at(self, t, factor, x):
+        return self._grad_x_raw(t, x)
+
     # -- public, validating evaluators --------------------------------------
     def eval(self, t, x):
         self._check(t, x)
@@ -525,9 +535,7 @@ class StaticPhase(PhaseFunction):
         self.t_range = tuple(t_range)
 
     def _eval_raw(self, t, x):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return x[..., 0] * np.cos(t) + x[..., 1] * np.sin(t)
+        return self._eval_at(t, omega(t), np.asarray(x, dtype=float))
 
     def _grad_x_raw(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -543,6 +551,15 @@ class StaticPhase(PhaseFunction):
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(x[..., 0].shape, np.shape(t))
         return np.broadcast_to(omega_perp(t), shape + (2,)).copy()
+
+    def _time_factor(self, t):
+        return omega(t)
+
+    def _eval_at(self, t, w, x):
+        return x[..., 0] * w[..., 0] + x[..., 1] * w[..., 1]
+
+    def _grad_x_at(self, t, w, x):
+        return w
 
 
 class DynamicPhase(PhaseFunction):
@@ -575,18 +592,30 @@ class DynamicPhase(PhaseFunction):
 
     def _eval_raw(self, t, x):
         t = np.asarray(t, dtype=float)
-        z = self.motion.inverse(t, x)
-        w = omega(t)
-        return z[..., 0] * w[..., 0] + z[..., 1] * w[..., 1]
+        return self._eval_at(t, omega(t), x)
 
     def _grad_x_raw(self, t, x):
         if not self._analytic:
             return super()._grad_x_raw(t, x)
         t = np.asarray(t, dtype=float)
+        return self._grad_x_at(t, omega(t), x)
+
+    def _time_factor(self, t):
+        return omega(t)
+
+    def _eval_at(self, t, w, x):
+        z = self.motion.inverse(t, x)
+        return z[..., 0] * w[..., 0] + z[..., 1] * w[..., 1]
+
+    def _grad_x_at(self, t, w, x):
+        if not self._analytic:
+            return super()._grad_x_raw(t, x)
         jac = self.motion.inv_jacobian(t, x)
-        w = omega(t)
-        # (D psi^-1)^T omega
-        return np.einsum("...ji,...j->...i", jac, np.broadcast_to(w, jac.shape[:-2] + (2,)))
+        # (D psi^-1)^T omega, column by column
+        g = np.empty(jac.shape[:-1])
+        g[..., 0] = jac[..., 0, 0] * w[..., 0] + jac[..., 1, 0] * w[..., 1]
+        g[..., 1] = jac[..., 0, 1] * w[..., 0] + jac[..., 1, 1] * w[..., 1]
+        return g
 
     def _dt_raw(self, t, x):
         if not self._analytic:
@@ -844,6 +873,10 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     """March all curves simultaneously: RK2 predictor along the rotated
     gradient, Newton corrector back onto the level set.
 
+    Both directions of every curve are marched in one batch, and only live
+    walks are marched: the per-walk state is compacted when walks end, so
+    the cost of a step follows the number of walks still alive.
+
     Parameters
     ----------
     t, s : (n,) arrays; p0 : (n, 2) on-level starting points.
@@ -853,10 +886,11 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     support_stop : optional radius; curves additionally terminate once
         outside it (used by the operator plan where the integrand vanishes).
     emit : optional callback(points, curve_idx, weights) streamed per step
-        with trapezoid arc weights; used by the plan builder.
+        with trapezoid arc weights; used by the plan builder.  The arrays
+        passed are not modified afterwards.
     collect : if True, return per-curve point lists (scalar-op path).
 
-    Returns (status, points_per_curve | None, closed_mask).
+    Returns (status, points_per_curve | None, closed_mask, stalled_mask).
     status: 0 ok, 1 stalled.
     """
     n = len(s)
@@ -864,81 +898,83 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     if max_steps is None:
         max_steps = int(stop_rect.diameter / step * 1.6) + 64
 
-    collected = [[p0[i].copy()] for i in range(n)] if collect else None
     closed = np.zeros(n, dtype=bool)
     stalled = np.zeros(n, dtype=bool)
+    # both directions march together as 2n walks.  State of the live walks,
+    # kept in step: curve index, time and its phase factor, level, signed
+    # step, start point, current vertex and the length of the segment
+    # ending at it
+    walks = ([[] for _ in range(n)], [[] for _ in range(n)]) if collect else None
+    gid = np.concatenate([np.arange(n), np.arange(n)])
+    ta = np.concatenate([t, t])
+    factor = pf._time_factor(ta)
+    sa = np.concatenate([s, s])
+    dstep = np.repeat([step, -step], n)
+    start = np.concatenate([p0, p0])
+    p = start
+    prev_len = np.zeros(2 * n)
+    support_stop2 = None if support_stop is None else support_stop * support_stop
+    closing2 = (0.5 * step) ** 2
 
-    def unit_tangent(tt, x):
-        g = pf._grad_x_raw(tt, x)
-        norm = np.maximum(np.hypot(g[..., 0], g[..., 1]), 1e-300)
-        return rot90(g) / norm[..., None]
+    def advance(base, at, h):
+        # base + h * unit tangent at ``at``; the tangent is grad phi turned
+        # a quarter counterclockwise.  Column by column: (n, 2) arrays
+        # broadcast slowly against (n, 1) ones
+        g = pf._grad_x_at(ta, factor, at)
+        scale = h / np.maximum(np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]), 1e-300)
+        out = np.empty_like(base)
+        out[:, 0] = base[:, 0] - g[:, 1] * scale
+        out[:, 1] = base[:, 1] + g[:, 0] * scale
+        return out
 
-    for direction in (+1.0, -1.0):
-        p = p0.copy()
-        alive = np.ones(n, dtype=bool)
-        # weights streaming state: previous point and previous segment length
-        prev_pt = p0.copy()
-        prev_len = np.zeros(n)
-        idx_all = np.arange(n)
-        for k in range(max_steps):
-            if not alive.any():
+    for k in range(max_steps):
+        if not len(gid):
+            break
+        nxt = advance(p, advance(p, p, 0.5 * dstep), dstep)
+        # corrector: pull back onto the level set along grad phi
+        for _ in range(corrector_iters):
+            r = pf._eval_at(ta, factor, nxt) - sa
+            ok = np.abs(r) < tol
+            if ok.all():
                 break
-            ia = idx_all[alive]
-            ta = t[ia]
-            sa = s[ia]
-            pa = p[ia]
-            tau = unit_tangent(ta, pa)
-            mid = pa + (0.5 * step * direction) * tau
-            nxt = pa + (step * direction) * unit_tangent(ta, mid)
-            # corrector: pull back onto the level set
-            ok = np.zeros(len(ia), dtype=bool)
-            for _ in range(corrector_iters):
-                r = pf._eval_raw(ta, nxt) - sa
-                ok = np.abs(r) < tol
-                if ok.all():
-                    break
-                g = pf._grad_x_raw(ta, nxt)
-                g2 = np.maximum(np.sum(g * g, axis=-1), 1e-300)
-                nxt = nxt - (r / g2)[..., None] * g
-            bad = ~ok
-            inside = stop_rect.contains(nxt) & pf.branch_mask(ta, nxt)
-            if support_stop is not None:
-                inside &= np.hypot(nxt[..., 0], nxt[..., 1]) <= support_stop
-            just_closed = np.zeros(len(ia), dtype=bool)
-            if k >= 5:
-                just_closed = np.hypot(*(nxt - p0[ia]).T) < 0.5 * step
-            keep = inside & ~bad & ~just_closed
-            stalled[ia[bad]] = True
-            closed[ia[just_closed]] = True
-
-            kept_idx = ia[keep]
-            seg = np.linalg.norm(nxt[keep] - pa[keep], axis=-1)
-            if emit is not None and len(kept_idx):
-                # trapezoid: each interior vertex carries half of both
-                # adjacent segments; emit the previous vertex once its
-                # following segment is known
-                w_prev = 0.5 * (prev_len[kept_idx] + seg)
-                emit(prev_pt[kept_idx], kept_idx, w_prev, t[kept_idx])
-            if collect:
-                for j, gi in enumerate(kept_idx):
-                    collected[gi].append(nxt[keep][j].copy())
-            # close out curves that terminated this step: flush their last point
-            ended_idx = ia[~keep]
-            if emit is not None and len(ended_idx):
-                emit(prev_pt[ended_idx], ended_idx, 0.5 * prev_len[ended_idx], t[ended_idx])
-            p[kept_idx] = nxt[keep]
-            prev_pt[kept_idx] = nxt[keep]
-            prev_len[kept_idx] = seg
-            alive[ia[~keep]] = False
+            g = pf._grad_x_at(ta, factor, nxt)
+            c = r / np.maximum(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1], 1e-300)
+            nxt = np.stack([nxt[:, 0] - c * g[:, 0], nxt[:, 1] - c * g[:, 1]], axis=-1)
+        keep = ok & stop_rect.contains(nxt) & pf.branch_mask(ta, nxt)
+        if support_stop is not None:
+            keep &= nxt[:, 0] * nxt[:, 0] + nxt[:, 1] * nxt[:, 1] <= support_stop2
+        stalled[gid[~ok]] = True
+        if k >= 5:
+            dx = nxt[:, 0] - start[:, 0]
+            dy = nxt[:, 1] - start[:, 1]
+            just_closed = dx * dx + dy * dy < closing2
+            closed[gid[just_closed]] = True
+            keep &= ~just_closed
+        dx = nxt[:, 0] - p[:, 0]
+        dy = nxt[:, 1] - p[:, 1]
+        seg = np.sqrt(dx * dx + dy * dy)
+        if emit is not None:
+            # trapezoid: each interior vertex carries half of both adjacent
+            # segments; the current vertex is emitted once its following
+            # segment is known, or with half of its preceding one when the
+            # walk ends here (the start point is emitted by both walks)
+            emit(p, gid, 0.5 * (prev_len + np.where(keep, seg, 0.0)))
+        if keep.all():
+            p, prev_len = nxt, seg
         else:
-            # cap reached: flush and flag whatever is still alive
-            rest = idx_all[alive]
-            if emit is not None and len(rest):
-                emit(prev_pt[rest], rest, 0.5 * prev_len[rest], t[rest])
-            stalled[rest] = True
-        if collect and direction == +1.0:
-            for i in range(n):
-                collected[i].reverse()
+            gid, ta, sa, dstep, prev_len = (a[keep] for a in (gid, ta, sa, dstep, seg))
+            factor, start, p = (np.compress(keep, a, axis=0) for a in (factor, start, nxt))
+        if collect:
+            for j, (i, h) in enumerate(zip(gid, dstep)):
+                walks[int(h < 0)][i].append(p[j])
+    else:
+        # cap reached: flush and flag whatever is still alive
+        if emit is not None and len(gid):
+            emit(p, gid, 0.5 * prev_len)
+        stalled[gid] = True
+    collected = None
+    if collect:
+        collected = [walks[0][i][::-1] + [p0[i].copy()] + walks[1][i] for i in range(n)]
     status = 1 if stalled.any() else 0
     return status, collected, closed, stalled
 

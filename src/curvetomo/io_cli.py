@@ -109,7 +109,7 @@ class GeometryConfig:
     t_range: list | None = None
     seed: int = DEFAULT_SEED
     interp: str = "cubic"
-    chunk_t: int = 32
+    chunk_t: int = 4
     phantom: list | None = None
 
     @classmethod
@@ -153,7 +153,7 @@ class GeometryConfig:
             raise ConfigError("phantom must be a list of ellipse specs")
         return cls(phase=phase, weight=weight, image=image, sinogram=sinogram,
                    atlas=atlas, t_range=t_range, seed=int(raw.get("seed", DEFAULT_SEED)),
-                   interp=interp, chunk_t=int(raw.get("chunk_t", 32)), phantom=phantom)
+                   interp=interp, chunk_t=int(raw.get("chunk_t", 4)), phantom=phantom)
 
     @classmethod
     def from_json(cls, text):

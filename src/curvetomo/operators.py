@@ -16,8 +16,13 @@ Discretization contract
   enough to skew the order -1 slope gate by about -0.15.
 
 The forward for a fixed geometry is built once as a *plan* (traced sample
-points with trapezoid weights); applying the operator afterwards is a single
-interpolation gather, which is what makes iterative solves affordable.
+points with trapezoid weights) and assembled with it into a sparse matrix M
+over spline coefficients; the adjoint quadrature is assembled into a second
+sparse matrix K on first use.  Applying either operator is then a spline
+prefilter (a small dense matrix per axis) and one sparse product, which is
+what makes iterative solves affordable.  M is assembled in blocks of at most
+``chunk_t`` acquisition times and K in blocks of pixels, each within a fixed
+scratch budget.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .errors import CoverageError, NumericBudgetError
 from .geometry import (
@@ -340,26 +345,143 @@ class _ForwardPlan:
     curve_id: np.ndarray      # (P,) flat (s, t) index
     failed: np.ndarray        # (ncurves,) bool: trace/projection failures
     n_curves: int
+    matrix: sparse.csr_matrix  # (ncurves, nx * ny) forward over spline coefficients
+
+
+def _spline_taps(c, n, order):
+    """Tap indices and weights, each of shape (order + 1, m), with which
+    ``map_coordinates(order=order, prefilter=False)`` reads the coordinates
+    ``c`` (all inside [0, n - 1]) of an axis of length n.  Taps beyond the
+    grid are folded back by reflection about the edge samples."""
+    fl = np.floor(c)
+    u = c - fl
+    start = fl.astype(np.int64) - order // 2
+    v = 1.0 - u
+    if order == 1:
+        w = np.stack([v, u])
+    else:
+        # cubic B-spline: u^3/6, 2/3 - u^2 + u^3/2 and their mirror images
+        u2 = u * u
+        v2 = v * v
+        w = np.empty((4, len(c)))
+        np.multiply(v2, v / 6.0, out=w[0])
+        np.multiply(u2, u / 6.0, out=w[3])
+        w[1] = 2.0 / 3.0 - u2 + 3.0 * w[3]
+        w[2] = 2.0 / 3.0 - v2 + 3.0 * w[0]
+    idx = start + np.arange(order + 1)[:, None]
+    edge = np.flatnonzero((start < 0) | (start > n - 1 - order))
+    if len(edge):
+        period = max(2 * n - 2, 1)
+        folded = np.abs(idx[:, edge]) % period
+        idx[:, edge] = np.where(folded >= n, period - folded, folded)
+    return idx, w
+
+
+def _prefilter_matrix(n, order):
+    """The spline prefilter along an axis of length n as a dense matrix
+    (the identity for linear interpolation, which needs none)."""
+    if order == 1:
+        return np.eye(n)
+    return ndimage.spline_filter1d(np.eye(n), order=order, axis=0, mode="constant")
+
+
+def _stable_order(keys, n_keys):
+    """Stable argsort of integer keys in [0, n_keys), by least significant
+    digit radix passes over 16-bit digits (NumPy radix-sorts 16-bit types)."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (n_keys - 1) >> shift:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+# Scratch memory of one assembly block.  A block of M holds at most
+# ``chunk_t`` acquisition times and fewer where those would need more than
+# this; the pixel blocks of K are sized by it alone.
+_BLOCK_BYTES = 16 * 2**20
+
+
+class _RowBlocks:
+    """A CSR matrix assembled from consecutive blocks of rows.
+
+    Entries are written in place into storage that starts at ``capacity``
+    and grows by doubling (``ndarray.resize``, a realloc), so the finished
+    matrix is never held twice; pages are only touched as they are written.
+    """
+
+    def __init__(self, ncols, capacity):
+        self.ncols = ncols
+        self.nnz = 0
+        self.data = np.empty(max(int(capacity), 1))
+        self.indices = np.empty(len(self.data), dtype=np.int32)
+        self.row_counts = []
+
+    def append(self, row_counts, indices, data):
+        end = self.nnz + len(data)
+        if end > len(self.data):
+            size = max(end, 2 * len(self.data))
+            self.data.resize(size, refcheck=False)
+            self.indices.resize(size, refcheck=False)
+        self.data[self.nnz:end] = data
+        self.indices[self.nnz:end] = indices
+        self.row_counts.append(row_counts)
+        self.nnz = end
+
+    def append_dense(self, dense, nrows):
+        """Append the first ``nrows`` rows of the flat accumulator ``dense``
+        without their exact zeros, and reset those rows to zero."""
+        nz = np.flatnonzero(dense[:nrows * self.ncols] != 0.0)
+        row_start = self.ncols * np.arange(nrows)
+        counts = np.diff(np.searchsorted(nz, row_start), append=len(nz))
+        self.append(counts, nz - np.repeat(row_start, counts), dense[nz])
+        dense[nz] = 0.0
+
+    def tocsr(self):
+        self.data.resize(self.nnz, refcheck=False)
+        self.indices.resize(self.nnz, refcheck=False)
+        counts = np.concatenate(self.row_counts)
+        indptr = np.zeros(len(counts) + 1, dtype=np.int32 if self.nnz < 2**31 else np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return sparse.csr_matrix((self.data, self.indices, indptr),
+                                 shape=(len(counts), self.ncols))
 
 
 class LevelSetTransform:
     """Forward/adjoint pair for one (phase, weight, grid) geometry.
 
-    Both directions are planned lazily and cached: the forward keeps the
-    traced quadrature points, the adjoint keeps per-time phi and mu*J tables
-    on the pixel grid.  All reductions are fixed-order and chunked
-    (``chunk_t`` times per block, pairwise combination across blocks), so
-    outputs are bit-reproducible for a given chunk size.
+    Both directions are assembled once, lazily, as CSR matrices between
+    (s, t) samples (flat index ``j * ns + i``) and pixels (flat index
+    ``ix * ny + iy``):
+
+    * ``M`` (``plan.matrix``, built with the plan), with a row per (s, t)
+      sample and a column per pixel: row (s, t) sums the
+      interpolation taps of that curve's traced quadrature points, weighted
+      by trapezoid weight times mu, so ``A f = M vec(S_x F S_y^T)`` with the
+      spline prefilters ``S_x``, ``S_y``;
+    * ``K`` (``_adj_tables``, built on the first adjoint), with a row per
+      pixel and a column per (s, t) sample: per time, the s-interpolation
+      taps of ``g(phi(t, x), t)`` weighted by dt * mu * J, so
+      ``A* g = K vec((S_s G)^T)``.
+
+    ``K`` is a separate quadrature, not ``M^T``; the two agree to the
+    duality tolerance.  M is assembled in row blocks of at most ``chunk_t``
+    times and K in blocks of pixels, each cut to fit ``_BLOCK_BYTES``
+    (16 MB) of scratch; the matrices, and so the outputs, do not depend on
+    the block sizes.
     """
 
     def __init__(self, pf, mu, image_like, sino_spec, *, step_factor=0.5,
-                 seed_grid=17, interp="cubic", chunk_t=32, nan_budget=1e-3):
+                 seed_grid=17, interp="cubic", chunk_t=4, nan_budget=1e-3):
         self.pf = pf
         self.mu = mu
         self.interp = interp
         if interp not in _SPLINE_ORDER:
             raise ValueError("interp must be 'cubic' or 'linear'")
         self.chunk_t = int(chunk_t)
+        if self.chunk_t < 1:
+            raise ValueError("chunk_t must be >= 1")
         self.nan_budget = float(nan_budget)
         self.nx = image_like.nx
         self.ny = image_like.ny
@@ -369,6 +491,10 @@ class LevelSetTransform:
         self.step = step_factor * self.spacing
         self.seed_grid = int(seed_grid)
         self.s_grid, self.t_grid = build_sinogram_grids(pf, sino_spec, self.support_radius)
+        order = _SPLINE_ORDER[interp]
+        self._prefilter_x = _prefilter_matrix(self.nx, order)
+        self._prefilter_y = _prefilter_matrix(self.ny, order)
+        self._prefilter_s = _prefilter_matrix(len(self.s_grid), order)
         self._plan = None
         self._adj_tables = None
 
@@ -422,20 +548,17 @@ class LevelSetTransform:
         p_tr = proj[keep]
         kept_flat = act_idx[keep]
 
-        chunks_pts = []
-        chunks_w = []
-        chunks_id = []
-        chunks_t = []
+        # per step: the emitted points inside the trim disk, with their flat
+        # curve ids and trapezoid weights
+        emitted = []
         trim_r = self.support_radius + 4 * self.spacing
+        trim2 = trim_r * trim_r
 
-        def emit(points, local_idx, weights, tvals):
-            inside = np.hypot(points[:, 0], points[:, 1]) <= trim_r
-            if not inside.any():
-                return
-            chunks_pts.append(points[inside].copy())
-            chunks_w.append(weights[inside].copy())
-            chunks_id.append(kept_flat[local_idx[inside]])
-            chunks_t.append(tvals[inside].copy())
+        def emit(points, local_idx, weights):
+            sel = np.flatnonzero(points[:, 0] * points[:, 0] + points[:, 1] * points[:, 1]
+                                 <= trim2)
+            emitted.append((np.take(points, sel, axis=0), kept_flat[local_idx[sel]],
+                            weights[sel]))
 
         stop_rect = pf.domain.shrunk(2.0 * self.step)
         _, _, _, stalled = _trace_batch(
@@ -445,27 +568,63 @@ class LevelSetTransform:
             emit=emit,
         )
         failed[kept_flat[stalled]] = True
+        if not emitted:     # nothing was traced
+            emit(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0))
 
-        if chunks_pts:
-            points = np.concatenate(chunks_pts)
-            weights = np.concatenate(chunks_w)
-            ids = np.concatenate(chunks_id)
-            tvals = np.concatenate(chunks_t)
-        else:
-            points = np.zeros((0, 2))
-            weights = np.zeros(0)
-            ids = np.zeros(0, dtype=np.int64)
-            tvals = np.zeros(0)
-
+        # in emission order; each field is released once joined
+        fields = [list(f) for f in zip(*emitted)]
+        emitted.clear()
+        joined = []
+        for f in fields:
+            joined.append(np.concatenate(f))
+            f.clear()
+        points, ids, coeff = joined
         drop = failed[ids]
         if drop.any():
-            keep_pts = ~drop
-            points, weights, ids, tvals = (
-                points[keep_pts], weights[keep_pts], ids[keep_pts], tvals[keep_pts]
-            )
-        coeff = weights * np.asarray(self.mu(tvals, points), dtype=float)
+            keep = ~drop
+            points, ids, coeff = np.compress(keep, points, axis=0), ids[keep], coeff[keep]
+        coeff *= np.asarray(self.mu(self.t_grid[ids // ns], points), dtype=float)
         self._plan = _ForwardPlan(points=points, coeff=coeff, curve_id=ids,
-                                  failed=failed, n_curves=n_curves)
+                                  failed=failed, n_curves=n_curves,
+                                  matrix=self._assemble_forward(points, coeff, ids))
+
+    def _assemble_forward(self, points, coeff, ids):
+        """M, assembled in blocks of consecutive rows.
+
+        A block accumulates its taps into a dense (rows, pixels) scratch
+        array, so it holds at most ``chunk_t`` times and at most the rows
+        whose scratch fits in ``_BLOCK_BYTES``.  Each row sums its taps in
+        emission order, whatever the block size.
+        """
+        order = _SPLINE_ORDER[self.interp]
+        n_curves = len(self.s_grid) * len(self.t_grid)
+        npx = self.nx * self.ny
+        # 8 bytes of accumulator and 1 of nonzero mask per (row, pixel)
+        rows_per_block = max(1, min(self.chunk_t * len(self.s_grid),
+                                    _BLOCK_BYTES // (9 * npx)))
+        by_row = _stable_order(ids, n_curves)
+        counts = np.bincount(ids // rows_per_block, minlength=-(-n_curves // rows_per_block))
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        dense = np.zeros(rows_per_block * npx)
+        matrix = _RowBlocks(npx, 3 * len(ids))
+        for b in range(len(counts)):
+            sel = by_row[bounds[b]:bounds[b + 1]]
+            r0 = b * rows_per_block
+            cx = (points[sel, 0] - self.origin[0]) / self.spacing
+            cy = (points[sel, 1] - self.origin[1]) / self.spacing
+            # map_coordinates(mode="constant") reads zero outside [0, n - 1]
+            inside = (cx >= 0.0) & (cx <= self.nx - 1) & (cy >= 0.0) & (cy <= self.ny - 1)
+            ix, wx = _spline_taps(cx[inside], self.nx, order)
+            iy, wy = _spline_taps(cy[inside], self.ny, order)
+            sel = sel[inside]
+            row_x = (ids[sel] - r0) * npx + ix * self.ny
+            cwx = coeff[sel] * wx
+            # accumulate in a fixed order, tap pair by tap pair
+            for a in range(order + 1):
+                for c in range(order + 1):
+                    np.add.at(dense, row_x[a] + iy[c], cwx[a] * wy[c])
+            matrix.append_dense(dense, min(rows_per_block, n_curves - r0))
+        return matrix.tocsr()
 
     @property
     def plan(self):
@@ -475,27 +634,13 @@ class LevelSetTransform:
 
     # -- forward --------------------------------------------------------------
 
-    def _image_coords(self, points):
-        return np.stack(
-            [(points[:, 0] - self.origin[0]) / self.spacing,
-             (points[:, 1] - self.origin[1]) / self.spacing], axis=0
-        )
-
     def forward(self, f):
         """Apply the curve-integral transform to an ImageGrid."""
         if f.nx != self.nx or abs(f.spacing - self.spacing) > 1e-12:
             raise ValueError("image grid does not match the planned geometry")
         plan = self.plan
-        order = _SPLINE_ORDER[self.interp]
-        vals = np.asarray(f.values, dtype=float)
-        if order > 1:
-            vals = ndimage.spline_filter(vals, order=order, mode="constant")
-        samples = ndimage.map_coordinates(
-            vals, self._image_coords(plan.points), order=order,
-            mode="constant", cval=0.0, prefilter=False,
-        )
-        acc = np.bincount(plan.curve_id, weights=plan.coeff * samples,
-                          minlength=plan.n_curves)
+        coef = self._prefilter_x @ np.asarray(f.values, dtype=float) @ self._prefilter_y.T
+        acc = plan.matrix @ coef.ravel()
         out = acc.reshape(len(self.t_grid), len(self.s_grid)).T.copy()
         n_failed = int(plan.failed.sum())
         if n_failed:
@@ -515,67 +660,56 @@ class LevelSetTransform:
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
     def _build_adjoint_tables(self):
+        """K (rows pixels, columns (s, t) samples indexed like the rows of
+        M), assembled in blocks of pixels whose scratch fits in
+        ``_BLOCK_BYTES``.
+
+        Per pixel and time the phase value phi(t, x) is read on the s grid;
+        values off the grid, and off-branch samples, contribute zero, which
+        realizes the data cutoff.
+        """
+        pf = self.pf
         pts = self._pixel_points()
-        nt = len(self.t_grid)
         npx = pts.shape[0]
-        phi_tab = np.empty((nt, npx))
-        wj_tab = np.empty((nt, npx))
-        for j, t in enumerate(self.t_grid):
-            mask = self.pf.branch_mask(t, pts)
-            phi = np.where(mask, self.pf._eval_raw(t, pts), np.nan)
-            g = self.pf._grad_x_raw(t, pts)
-            J = np.hypot(g[:, 0], g[:, 1])
-            w = np.asarray(self.mu(t, pts), dtype=float) * J
-            phi_tab[j] = phi
-            wj_tab[j] = np.where(mask, w, 0.0)
-        self._adj_tables = (phi_tab, wj_tab)
+        ns, nt = len(self.s_grid), len(self.t_grid)
+        s0 = self.s_grid[0]
+        ds = self.s_grid[1] - self.s_grid[0]
+        dt = float(self.t_grid[1] - self.t_grid[0]) if nt > 1 else 1.0
+        order = _SPLINE_ORDER[self.interp]
+        # about 80 bytes of scratch per (pixel, time, s-tap)
+        px_per_block = max(1, _BLOCK_BYTES // (80 * (order + 1) * nt))
+        matrix = _RowBlocks(ns * nt, (order + 1) * npx * nt)
+        for p0 in range(0, npx, px_per_block):
+            # (pixel, time) arrays
+            x = pts[p0:p0 + px_per_block, None, :]
+            t = self.t_grid
+            mask = pf.branch_mask(t, x)
+            sc = (np.where(mask, pf._eval_raw(t, x), np.nan) - s0) / ds
+            g = pf._grad_x_raw(t, x)
+            wj = (np.asarray(self.mu(t, x), dtype=float)
+                  * np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]))
+            flat = np.flatnonzero(np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0))
+            pix = flat // nt
+            idx, w = _spline_taps(sc.ravel()[flat], ns, order)
+            # a pixel's entries by time, then by tap
+            matrix.append(np.bincount(pix, minlength=len(x)) * (order + 1),
+                          ((flat - pix * nt) * ns + idx).T.ravel(),
+                          (dt * wj.ravel()[flat] * w).T.ravel())
+        self._adj_tables = matrix.tocsr()
 
     def adjoint(self, g):
         """Apply the adjoint: per-pixel time quadrature of mu * J * g(phi, t).
 
         Phase values outside the s grid (and off-branch samples) contribute
-        zero, realizing the data cutoff.
+        zero, realizing the data cutoff.  NaN samples read as zero.
         """
         if len(g.s_grid) != len(self.s_grid) or len(g.t_grid) != len(self.t_grid):
             raise ValueError("sinogram does not match the planned geometry")
         if self._adj_tables is None:
             self._build_adjoint_tables()
-        phi_tab, wj_tab = self._adj_tables
-        s0 = self.s_grid[0]
-        ds = self.s_grid[1] - self.s_grid[0]
-        ns = len(self.s_grid)
-        dt = float(self.t_grid[1] - self.t_grid[0]) if len(self.t_grid) > 1 else 1.0
-        order = _SPLINE_ORDER[self.interp]
-        nt = len(self.t_grid)
-        npx = phi_tab.shape[1]
-
-        partials = []
-        for j0 in range(0, nt, self.chunk_t):
-            j1 = min(j0 + self.chunk_t, nt)
-            block = np.zeros(npx)
-            for j in range(j0, j1):
-                col = np.nan_to_num(np.asarray(g.values[:, j], dtype=float))
-                if order > 1:
-                    col = ndimage.spline_filter1d(col, order=order, mode="constant")
-                sc = (phi_tab[j] - s0) / ds
-                valid = np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0)
-                sc_safe = np.where(valid, sc, 0.0)
-                vals = ndimage.map_coordinates(
-                    col, sc_safe[None, :], order=order, mode="constant",
-                    cval=0.0, prefilter=False,
-                )
-                block += np.where(valid, vals, 0.0) * wj_tab[j]
-            partials.append(block)
-        # fixed-order pairwise combination across chunks
-        while len(partials) > 1:
-            nxt = []
-            for k in range(0, len(partials) - 1, 2):
-                nxt.append(partials[k] + partials[k + 1])
-            if len(partials) % 2:
-                nxt.append(partials[-1])
-            partials = nxt
-        total = partials[0] if partials else np.zeros(npx)
-        img = (total * dt).reshape(self.nx, self.ny)
+        # rows of ``data`` are the prefiltered s columns, one per time
+        data = np.nan_to_num(np.asarray(g.values, dtype=float)).T @ self._prefilter_s.T
+        img = (self._adj_tables @ data.ravel()).reshape(self.nx, self.ny)
         return ImageGrid(self.nx, self.ny, self.spacing, self.origin.copy(), img,
                          self.support_radius)
 

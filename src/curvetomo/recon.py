@@ -85,7 +85,7 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
     ``divergence_patience`` consecutive increases (only reachable through
     severe operator asymmetry or indefiniteness, e.g. a Bolker failure).
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     tr = normal_op.transform
     b_img = normal_op.back_data(g)
     mask = _support_mask(b_img)
@@ -103,7 +103,7 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
     history = []
     if b_norm == 0.0:
         report = SolveReport(iterations=0, residual_history=[], rel_error_vs_truth=None,
-                             runtime=time.time() - t_start, converged=True)
+                             runtime=time.perf_counter() - t_start, converged=True)
         if truth is not None:
             report.rel_error_vs_truth = 1.0 if truth.norm() > 0 else 0.0
         return b_img.like(f), report
@@ -155,7 +155,7 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
             math.sqrt(np.sum((f - truth.values) ** 2)) / math.sqrt(np.sum(truth.values**2))
         )
     report = SolveReport(iterations=it, residual_history=history,
-                         rel_error_vs_truth=rel_err, runtime=time.time() - t_start,
+                         rel_error_vs_truth=rel_err, runtime=time.perf_counter() - t_start,
                          converged=converged)
     return b_img.like(f), report
 
@@ -163,7 +163,7 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
 def landweber_solve(normal_op, g, max_iter=50, relaxation=None, truth=None, seed=0):
     """Landweber iteration f <- f + w (B g - N f); tolerates the mild
     asymmetry and semi-definiteness that break conjugate directions."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     b_img = normal_op.back_data(g)
     mask = _support_mask(b_img)
     b = b_img.values * mask
@@ -194,7 +194,7 @@ def landweber_solve(normal_op, g, max_iter=50, relaxation=None, truth=None, seed
                         / math.sqrt(np.sum(truth.values**2)))
     return b_img.like(f), SolveReport(iterations=max_iter, residual_history=history,
                                       rel_error_vs_truth=rel_err,
-                                      runtime=time.time() - t_start)
+                                      runtime=time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------

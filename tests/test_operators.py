@@ -11,6 +11,7 @@ from curvetomo import (
     CutoffAtlas,
     IdentityMotion,
     NormalOperator,
+    RotationMotion,
     SinoSpec,
     Sinogram,
     UnitWeight,
@@ -19,7 +20,9 @@ from curvetomo import (
     forward_levelset,
     lagrangian_to_levelset_weight,
     make_dynamic_phase,
+    make_fanbeam_phase,
     make_image_grid,
+    make_static_phase,
 )
 from curvetomo.operators import LevelSetTransform
 from curvetomo.phantom import EllipseSpec, render_phantom
@@ -316,6 +319,167 @@ def test_one_shot_wrappers_match_transform(small_transform, static_pf):
     Nf1 = apply_normal(static_pf, UnitWeight(), CutoffAtlas.trivial(), f, sino_spec=spec)
     Nf2 = tr.adjoint(tr.forward(f))
     np.testing.assert_allclose(Nf1.values, Nf2.values, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# assembled matrices against the point-gather forward and per-time adjoint
+# ---------------------------------------------------------------------------
+
+_ORDER = {"linear": 1, "cubic": 3}
+
+
+def _gather_forward(tr, f):
+    """Reference forward: spline-prefilter the image, interpolate it at every
+    plan point, sum the weighted samples per curve; failed curves are NaN."""
+    plan = tr.plan
+    order = _ORDER[tr.interp]
+    vals = np.asarray(f.values, dtype=float)
+    if order > 1:
+        vals = ndimage.spline_filter(vals, order=order, mode="constant")
+    coords = np.stack([(plan.points[:, 0] - tr.origin[0]) / tr.spacing,
+                       (plan.points[:, 1] - tr.origin[1]) / tr.spacing])
+    samples = ndimage.map_coordinates(vals, coords, order=order, mode="constant",
+                                      cval=0.0, prefilter=False)
+    acc = np.bincount(plan.curve_id, weights=plan.coeff * samples, minlength=plan.n_curves)
+    out = acc.reshape(len(tr.t_grid), len(tr.s_grid)).T.copy()
+    out[plan.failed.reshape(len(tr.t_grid), len(tr.s_grid)).T] = np.nan
+    return out
+
+
+def _quadrature_adjoint(tr, g):
+    """Reference adjoint: per time, interpolate the prefiltered data column
+    at phi(t, pixel) and accumulate dt * mu * J times it."""
+    order = _ORDER[tr.interp]
+    pts = tr._pixel_points()
+    s0, ds, ns = tr.s_grid[0], tr.s_grid[1] - tr.s_grid[0], len(tr.s_grid)
+    total = np.zeros(len(pts))
+    for j, t in enumerate(tr.t_grid):
+        mask = tr.pf.branch_mask(t, pts)
+        sc = (np.where(mask, tr.pf._eval_raw(t, pts), np.nan) - s0) / ds
+        grad = tr.pf._grad_x_raw(t, pts)
+        w = np.asarray(tr.mu(t, pts), dtype=float) * np.hypot(grad[:, 0], grad[:, 1])
+        col = np.nan_to_num(np.asarray(g.values[:, j], dtype=float))
+        if order > 1:
+            col = ndimage.spline_filter1d(col, order=order, mode="constant")
+        valid = np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0)
+        v = ndimage.map_coordinates(col, np.where(valid, sc, 0.0)[None], order=order,
+                                    mode="constant", cval=0.0, prefilter=False)
+        total += np.where(valid, v * w, 0.0)
+    dt = tr.t_grid[1] - tr.t_grid[0]
+    return (total * dt).reshape(tr.nx, tr.ny)
+
+
+def _geometry(case):
+    if case == "static":
+        return make_static_phase(), UnitWeight(), {}
+    if case == "rotation":
+        return make_dynamic_phase(RotationMotion(0.3)), UnitWeight(), {}
+    if case == "breathing_bump":
+        return make_dynamic_phase(BreathingMotion(0.05)), BumpWeight(amplitude=0.3), {}
+    if case == "fan":
+        return make_fanbeam_phase(3.0), UnitWeight(), {"nan_budget": 0.05}
+    return make_static_phase(), UnitWeight(), {"interp": "linear"}
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "linear"])
+def test_matrices_match_reference(case):
+    pf, mu, kw = _geometry(case)
+    img = make_image_grid(32)
+    tr = LevelSetTransform(pf, mu, img, SinoSpec(ns=35, nt=48), **kw)
+    f = smooth_field(img, 51, sigma=1.5)
+    g = tr.forward(f).values
+    ref = _gather_forward(tr, f)
+    failed = tr.plan.failed.reshape(len(tr.t_grid), len(tr.s_grid)).T
+    assert np.array_equal(np.isnan(g), failed)
+    assert np.array_equal(np.isnan(ref), failed)
+    assert _rel(g[~failed], ref[~failed]) <= 1e-12
+    data = Sinogram(tr.s_grid, tr.t_grid, np.random.default_rng(52).standard_normal(
+        (len(tr.s_grid), len(tr.t_grid))))
+    assert _rel(tr.adjoint(data).values, _quadrature_adjoint(tr, data)) <= 1e-12
+
+
+def test_fan_geometry_has_failed_curves():
+    """The fan case above exercises the NaN path: its plan marks curves failed."""
+    pf, mu, kw = _geometry("fan")
+    tr = LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw)
+    assert tr.plan.failed.any()
+
+
+def test_chunk_size_does_not_change_outputs(static_pf, monkeypatch):
+    """chunk_t and the scratch budget only set the assembly's block size.  A
+    huge chunk_t is cut to the budget; a budget below one row of scratch
+    gives one-row forward blocks, which split the times, and one-pixel
+    adjoint blocks."""
+    from curvetomo import operators
+
+    img = make_image_grid(32)
+    f = smooth_field(img, 53, sigma=1.5)
+    spec = SinoSpec(ns=35, nt=48)
+    probe = LevelSetTransform(static_pf, UnitWeight(), img, spec)
+    data = Sinogram(probe.s_grid, probe.t_grid,
+                    np.random.default_rng(53).standard_normal((35, 48)))
+
+    def outputs(chunk_t):
+        tr = LevelSetTransform(static_pf, UnitWeight(), img, spec, chunk_t=chunk_t)
+        return tr.forward(f).values, tr.adjoint(data).values
+
+    expected = outputs(1)
+    runs = [outputs(32), outputs(10**9)]
+    monkeypatch.setattr(operators, "_BLOCK_BYTES", 1)
+    runs.append(outputs(4))
+    for got in runs:
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+
+
+def test_stable_order_matches_stable_argsort():
+    """The radix order, over one 16-bit digit and over several."""
+    from curvetomo.operators import _stable_order
+
+    rng = np.random.default_rng(55)
+    for n_keys in (1, 300, 2**16, 2**16 + 1, 10**7, 2**40):
+        keys = rng.integers(0, n_keys, 5000)
+        np.testing.assert_array_equal(_stable_order(keys, n_keys),
+                                      np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("case", ["static", "fan", "linear"])
+def test_matrix_indices_in_range(case):
+    """Spline taps beyond the grid edge are folded back onto it."""
+    pf, mu, kw = _geometry(case)
+    img = make_image_grid(32)
+    tr = LevelSetTransform(pf, mu, img, SinoSpec(ns=35, nt=48), **kw)
+    tr.adjoint(Sinogram(tr.s_grid, tr.t_grid, np.zeros((len(tr.s_grid), len(tr.t_grid)))))
+    n_curves = len(tr.s_grid) * len(tr.t_grid)
+    assert tr.plan.matrix.shape == (n_curves, img.nx * img.ny)
+    assert tr._adj_tables.shape == (img.nx * img.ny, n_curves)
+    for mat in (tr.plan.matrix, tr._adj_tables):
+        assert mat.indices.min() >= 0 and mat.indices.max() < mat.shape[1]
+
+
+def test_row_blocks_grow_past_capacity():
+    """Row blocks appended past the reserved capacity, sparse or from the
+    dense accumulator, assemble the stacked matrix; the accumulator is reset."""
+    from scipy import sparse
+
+    from curvetomo.operators import _RowBlocks
+
+    rng = np.random.default_rng(54)
+    blocks = [sparse.random(3, 7, density=0.5, format="csr", random_state=rng)
+              for _ in range(4)]
+    built = _RowBlocks(7, capacity=1)
+    for b in blocks:
+        built.append(np.diff(b.indptr), b.indices, b.data)
+    dense = rng.standard_normal((3, 7)) * (rng.random((3, 7)) < 0.5)
+    acc = dense.ravel().copy()
+    built.append_dense(acc, 3)
+    assert not acc.any()
+    expected = np.vstack([b.toarray() for b in blocks] + [dense])
+    np.testing.assert_array_equal(built.tocsr().toarray(), expected)
 
 
 # ---------------------------------------------------------------------------
