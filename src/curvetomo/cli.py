@@ -218,12 +218,11 @@ def cmd_visibility(args, config, run):
     n = 17
     r = image_kw["support_radius"]
     grid = np.linspace(-r * 0.95, r * 0.95, n)
+    X1, X2 = np.meshgrid(grid, grid, indexing="ij")
+    inside = np.hypot(X1, X2) <= r
     counts = np.zeros((n, n))
-    for i, x1 in enumerate(grid):
-        for j, x2 in enumerate(grid):
-            if math.hypot(x1, x2) > r:
-                continue
-            counts[i, j] = visibility_map(pf, np.array([x1, x2]), 8).count.min()
+    counts[inside] = visibility_map(pf, np.stack([X1[inside], X2[inside]], axis=-1),
+                                    8).count.min(axis=1)
     run.write_pgm("visibility_counts.pgm", counts)
     frac = float(np.mean(vm.count > 0))
     run.manifest["metrics"]["visible_fraction"] = frac

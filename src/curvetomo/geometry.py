@@ -317,7 +317,7 @@ class BreathingMotion(MotionModel):
         for _ in range(40):
             c = self._scale(t, r)
             f = r * c - rho
-            if np.max(np.abs(f)) < 1e-14 * max(1.0, self.r_support):
+            if np.max(np.abs(f), initial=0.0) < 1e-14 * max(1.0, self.r_support):
                 break
             fp = c + r * self._scale_dr(t, r)
             r = np.maximum(r - f / fp, 0.0)
@@ -858,7 +858,7 @@ def project_to_level(pf, t, s, x0, tol, max_iter=20):
     s = np.asarray(s, dtype=float)
     for _ in range(max_iter):
         r = pf._eval_raw(t, x) - s
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r), initial=0.0) < tol:   # also ends an empty batch
             break
         g = pf._grad_x_raw(t, x)
         g2 = np.maximum(np.sum(g * g, axis=-1), 1e-300)

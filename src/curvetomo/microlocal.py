@@ -10,7 +10,6 @@ order-(-1) symbol ``p = (2 pi)^-1 chi (W_+ + W_-) / h~``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +51,13 @@ class CanonicalPoint:
 
 @dataclass
 class VisibilityMap:
-    """Per-direction solvability of nu(t, x) || +-direction at a fixed x."""
+    """Per-direction solvability of nu(t, x) || +-direction at a fixed x
+    (or, with leading axes, at each of several points)."""
 
-    x: np.ndarray
+    x: np.ndarray                   # (2,), or (m, 2) points
     directions: np.ndarray          # (n, 2) unit vectors
-    count: np.ndarray               # (n,) number of witness times
-    t_witness: list                 # per-direction list of (t, orientation)
+    count: np.ndarray               # (n,) or (m, n) number of witness times
+    t_witness: list                 # per-direction list of (t, orientation), per point
 
     @property
     def visible(self):
@@ -165,20 +165,66 @@ def homogeneous_equivalence_check(pf, t_samples, x_samples=None, threshold=1e-8)
 # ---------------------------------------------------------------------------
 
 
-def _angular_residual(pf, t, x_rep, dir_perp):
-    """nu(t, x) . (unit_dir rotated by pi/2); zero iff nu || +-unit_dir."""
-    g = pf._grad_x_raw(t, x_rep)
+def _angular_residual(pf, t, x, dir_perp):
+    """nu(t, x) . (unit_dir rotated by pi/2); zero iff nu || +-unit_dir.
+
+    t (k,), x (k, 2) and dir_perp (k, 2) are matched row by row."""
+    g = pf._grad_x_raw(t, x)
     norm = np.maximum(np.hypot(g[..., 0], g[..., 1]), 1e-300)
-    return (g[..., 0] * dir_perp[0] + g[..., 1] * dir_perp[1]) / norm
+    return (g[..., 0] * dir_perp[..., 0] + g[..., 1] * dir_perp[..., 1]) / norm
+
+
+# Pairs per block of the residual scan: a block evaluates its pairs at all
+# n_scan + 1 grid times at once, so this caps the scan's scratch memory.
+_SCAN_PAIRS = 64
+
+
+def _scan_block(pf, tt, x, u_perp, residual_tol, offset):
+    """Scan the residual of a block of pairs, numbered from ``offset``, on
+    the grid ``tt``.
+
+    Returns the roots found on the grid, as (pair, t) arrays, for the flat
+    pairs and the runs of exact-zero nodes, and the sign-change brackets, as
+    (pair, left grid index, residual there) arrays."""
+    k, m = len(x), len(tt)
+    r = _angular_residual(pf, np.tile(tt, k), np.repeat(x, m, axis=0),
+                          np.repeat(u_perp, m, axis=0)).reshape(k, m)
+    # identically degenerate: one representative root
+    flat = np.all(np.abs(r) < 1e-9, axis=1)
+    flat_pair = np.flatnonzero(flat)
+    flat_t = np.full(len(flat_pair), 0.5 * (tt[0] + tt[-1]))
+    rows = np.flatnonzero(~flat)
+    r = r[rows]
+    # exact zeros on grid nodes: one root per maximal run of zero nodes
+    zero = np.abs(r) < residual_tol
+    edge = np.zeros((len(r), 1), dtype=bool)
+    first = zero & ~np.hstack([edge, zero[:, :-1]])
+    last = zero & ~np.hstack([zero[:, 1:], edge])
+    run_row, i = np.nonzero(first)
+    j = np.nonzero(last)[1]
+    root_pair = np.concatenate([flat_pair, rows[run_row]]) + offset
+    root_t = np.concatenate([flat_t, 0.5 * (tt[i] + tt[j])])
+    # sign changes between non-zero nodes
+    change = ~zero[:, :-1] & ~zero[:, 1:] & (r[:, :-1] * r[:, 1:] < 0.0)
+    row, i = np.nonzero(change)
+    return root_pair, root_t, rows[row] + offset, i, r[row, i]
 
 
 def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1e-10):
     """All t in t_range with nu(t, x) parallel to +-xi/|xi|.
 
-    Scans a uniform grid for sign changes of the angular residual, then
-    refines each bracket by bisection with Newton polish.  Returns a list of
-    ``(t, orientation)`` with orientation = sign(nu . unit_dir); an empty
+    ``x`` and ``xi`` are one pair of shape (2,) each, or a batch of pairs of
+    shape (n, 2) (a single x or xi of shape (2,) is shared by the batch).
+    A single pair returns a list of ``(t, orientation)`` with orientation =
+    sign(nu . unit_dir); a batch returns one such list per pair.  An empty
     list marks an invisible direction.
+
+    Scans a uniform grid of ``n_scan + 1`` times for sign changes of the
+    angular residual, in blocks of 64 pairs to bound the scan's memory, then
+    refines each bracket by bisection (at most 80 steps, stopping once
+    |residual| < ``residual_tol``) and at most 4 Newton steps, each no
+    longer than a scan cell.  All brackets of the batch are refined in
+    lockstep, each under the stopping rules it would meet if solved alone.
 
     A residual that vanishes on a whole subinterval (the synchronized limit
     when xi is the surviving normal) is collapsed to the subinterval
@@ -186,106 +232,103 @@ def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    nrm = np.hypot(xi[0], xi[1])
-    if nrm == 0.0:
+    single = x.ndim == 1 and xi.ndim == 1
+    x, xi = (np.ascontiguousarray(a) for a in
+             np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(xi)))
+    if not len(x):
+        return []
+    nrm = np.hypot(xi[:, 0], xi[:, 1])
+    if np.any(nrm == 0.0):
         raise ValueError("xi must be nonzero")
-    u = xi / nrm
-    u_perp = np.array([-u[1], u[0]])
+    u = xi / nrm[:, None]
+    u_perp = np.stack([-u[:, 1], u[:, 0]], axis=-1)
     lo, hi = t_range if t_range is not None else pf.t_range
     full_circle = abs((hi - lo) - TWO_PI) < 1e-9
 
     tt = np.linspace(lo, hi, n_scan + 1)
-    x_rep = np.broadcast_to(x, (n_scan + 1, 2))
-    r = _angular_residual(pf, tt, x_rep, u_perp)
+    scans = [_scan_block(pf, tt, x[b0:b0 + _SCAN_PAIRS], u_perp[b0:b0 + _SCAN_PAIRS],
+                         residual_tol, b0) for b0 in range(0, len(x), _SCAN_PAIRS)]
+    root_pair, root_t, pair, i, fa = (np.concatenate(c) for c in zip(*scans))
 
-    flat_tol = 1e-9
-    roots = []
+    # bisection of every bracket in lockstep
+    a, b = tt[i], tt[i + 1]
+    live = np.arange(len(pair))
+    for _ in range(80):
+        if not len(live):
+            break
+        m_ = 0.5 * (a[live] + b[live])
+        p = pair[live]
+        fm = _angular_residual(pf, m_, x[p], u_perp[p])
+        hit = np.abs(fm) < residual_tol
+        a[live[hit]] = b[live[hit]] = m_[hit]
+        left = ~hit & (fa[live] * fm < 0.0)      # the root is in [a, m]
+        right = ~hit & ~left
+        b[live[left]] = m_[left]
+        a[live[right]] = m_[right]
+        fa[live[right]] = fm[right]
+        live = live[~hit]
+    t_root = 0.5 * (a + b)
 
-    if np.all(np.abs(r) < flat_tol):
-        # identically degenerate: one representative root
-        roots.append(0.5 * (lo + hi))
-    else:
-        # exact zeros on grid nodes
-        zero_nodes = np.abs(r) < residual_tol
-        i = 0
-        while i <= n_scan:
-            if zero_nodes[i]:
-                j = i
-                while j + 1 <= n_scan and zero_nodes[j + 1]:
-                    j += 1
-                roots.append(0.5 * (tt[i] + tt[j]))
-                i = j + 1
-            else:
-                i += 1
-        # sign changes between non-zero nodes
-        for i in range(n_scan):
-            if zero_nodes[i] or zero_nodes[i + 1]:
-                continue
-            if r[i] * r[i + 1] < 0.0:
-                a, b = tt[i], tt[i + 1]
-                fa = r[i]
-                for _ in range(80):
-                    m_ = 0.5 * (a + b)
-                    fm = float(_angular_residual(pf, m_, x, u_perp))
-                    if abs(fm) < residual_tol:
-                        a = b = m_
-                        break
-                    if fa * fm < 0.0:
-                        b = m_
-                    else:
-                        a, fa = m_, fm
-                t_root = 0.5 * (a + b)
-                # Newton polish on the residual
-                for _ in range(4):
-                    f0 = float(_angular_residual(pf, t_root, x, u_perp))
-                    if abs(f0) < residual_tol:
-                        break
-                    dh = 1e-7 * max(1.0, hi - lo)
-                    d = (
-                        float(_angular_residual(pf, t_root + dh, x, u_perp))
-                        - float(_angular_residual(pf, t_root - dh, x, u_perp))
-                    ) / (2 * dh)
-                    if d == 0.0:
-                        break
-                    step_n = f0 / d
-                    if abs(step_n) > (tt[1] - tt[0]):
-                        break
-                    t_root -= step_n
-                roots.append(t_root)
+    # Newton polish on the residual
+    dh = 1e-7 * max(1.0, hi - lo)
+    live = np.arange(len(pair))
+    for _ in range(4):
+        if not len(live):
+            break
+        t0 = t_root[live]
+        p = pair[live]
+        f0 = _angular_residual(pf, t0, x[p], u_perp[p])
+        d = (_angular_residual(pf, t0 + dh, x[p], u_perp[p])
+             - _angular_residual(pf, t0 - dh, x[p], u_perp[p])) / (2 * dh)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step_n = f0 / d
+        go = ~(np.abs(f0) < residual_tol) & (d != 0.0) & ~(np.abs(step_n) > (tt[1] - tt[0]))
+        live = live[go]
+        t_root[live] = t0[go] - step_n[go]
 
-    # deduplicate (2 pi wrap for full-range scans)
-    dedup = []
+    root_pair = np.concatenate([root_pair, pair])
+    root_t = np.concatenate([root_t, t_root])
+    # orientation of every root in one evaluation
+    g = pf._grad_x_raw(root_t, x[root_pair])
+    u_r = u[root_pair]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_nu = (g[:, 0] * u_r[:, 0] + g[:, 1] * u_r[:, 1]) / np.hypot(g[:, 0], g[:, 1])
+    orient = np.where(cos_nu >= 0, 1.0, -1.0)
+
+    # deduplicate per pair (2 pi wrap for full-range scans)
     tol_t = 1e-7 * max(1.0, hi - lo)
-    for t_root in sorted(roots):
-        if any(abs(t_root - q) < tol_t for q in dedup):
+    out = [[] for _ in range(len(x))]
+    order = np.lexsort((root_t, root_pair))
+    for k, t_k, o_k in zip(root_pair[order].tolist(), root_t[order].tolist(),
+                           orient[order].tolist()):
+        kept = out[k]
+        if any(abs(t_k - q) < tol_t for q, _ in kept):
             continue
-        if full_circle and any(abs(abs(t_root - q) - TWO_PI) < tol_t for q in dedup):
+        if full_circle and any(abs(abs(t_k - q) - TWO_PI) < tol_t for q, _ in kept):
             continue
-        dedup.append(t_root)
-
-    out = []
-    for t_root in dedup:
-        g = pf._grad_x_raw(t_root, x)
-        norm = math.hypot(g[0], g[1])
-        orient = 1.0 if (g[0] * u[0] + g[1] * u[1]) / norm >= 0 else -1.0
-        out.append((float(t_root), orient))
-    return out
+        kept.append((t_k, o_k))
+    return out[0] if single else out
 
 
 def visibility_map(pf, x, n_dirs, t_range=None):
-    """Solve the time-for-direction problem on a uniform angular grid."""
+    """Solve the time-for-direction problem on a uniform angular grid.
+
+    ``x`` is one point (2,), or points (n, 2): then ``count`` is (n, n_dirs)
+    and ``t_witness`` holds one list per point.  All pairs go through one
+    batched solve."""
     if n_dirs < 8:
         raise ValueError("need at least 8 directions")
+    x = np.asarray(x, dtype=float)
     angles = np.linspace(0.0, TWO_PI, n_dirs, endpoint=False)
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    counts = np.zeros(n_dirs, dtype=int)
-    witnesses = []
-    for i in range(n_dirs):
-        roots = solve_time_for_direction(pf, x, directions[i], t_range=t_range)
-        counts[i] = len(roots)
-        witnesses.append(roots)
-    return VisibilityMap(x=np.asarray(x, dtype=float), directions=directions,
-                         count=counts, t_witness=witnesses)
+    pts = np.atleast_2d(x)
+    roots = solve_time_for_direction(pf, np.repeat(pts, n_dirs, axis=0),
+                                     np.tile(directions, (len(pts), 1)), t_range=t_range)
+    counts = np.array([len(r) for r in roots], dtype=int).reshape(len(pts), n_dirs)
+    witnesses = [roots[k:k + n_dirs] for k in range(0, len(roots), n_dirs)]
+    if x.ndim == 1:
+        counts, witnesses = counts[0], witnesses[0]
+    return VisibilityMap(x=x, directions=directions, count=counts, t_witness=witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,11 @@ class VisibilityAudit:
 
 
 def visibility_audit(pf, wfs, t_range=None):
-    """Run the time-for-direction solver at every wavefront sample."""
-    flags = np.zeros(len(wfs.samples), dtype=bool)
-    wit = []
-    for i, cov in enumerate(wfs.samples):
-        roots = solve_time_for_direction(pf, cov.x, cov.xi, t_range=t_range)
-        flags[i] = len(roots) > 0
-        wit.append(roots)
+    """Run the time-for-direction solver at every wavefront sample, in one
+    batched solve."""
+    x = np.array([cov.x for cov in wfs.samples]).reshape(-1, 2)
+    xi = np.array([cov.xi for cov in wfs.samples]).reshape(-1, 2)
+    wit = solve_time_for_direction(pf, x, xi, t_range=t_range)
+    flags = np.array([len(roots) > 0 for roots in wit], dtype=bool)
     frac = float(np.mean(flags)) if len(flags) else 0.0
     return VisibilityAudit(flags=flags, witnesses=wit, fraction_visible=frac)

@@ -16,6 +16,7 @@ from curvetomo import (
     canonical_point,
     data_projection_rank,
     make_dynamic_phase,
+    make_fanbeam_phase,
     make_static_phase,
     principal_symbol,
     homogeneous_equivalence_check,
@@ -25,7 +26,7 @@ from curvetomo import (
 )
 from curvetomo.geometry import TWO_PI
 
-from conftest import support_samples
+from conftest import atlas_probe_pairs, reference_solve_time, support_samples
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,59 @@ def test_solve_time_residual_quality(static_pf, rng):
             assert orient * (nu @ xi) > 0
 
 
+@pytest.mark.parametrize("make_pf", [
+    make_static_phase,
+    lambda: make_dynamic_phase(RotationMotion(0.3)),
+    lambda: make_dynamic_phase(BreathingMotion(0.05)),
+    lambda: make_fanbeam_phase(3.0),
+], ids=["static", "rotation", "breathing", "fanbeam"])
+def test_solve_time_batch_equals_per_pair(make_pf):
+    """One batched solve over the atlas's probe x direction pairs gives
+    exactly the roots and orientations of solving each pair alone."""
+    pf = make_pf()
+    x, xi = atlas_probe_pairs()
+    batch = solve_time_for_direction(pf, x, xi)
+    assert batch == [reference_solve_time(pf, p, d) for p, d in zip(x, xi)]
+
+
+@pytest.mark.parametrize("t_range", [None, (0.0, math.pi / 3)], ids=["full", "limited"])
+def test_solve_time_mixed_batch_equals_per_pair(static_pf, sync_pf, t_range):
+    """Flat residuals (sync, xi = e1), exact zeros on grid nodes (static,
+    x = 0, xi = e1) and invisible directions, mixed with ordinary pairs."""
+    cases = [
+        (sync_pf, [[0.2, 0.1], [0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]],
+         [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-1.0, 0.0]]),
+        (static_pf, [[0.0, 0.0], [0.0, 0.0], [0.3, -0.2], [0.0, 0.0]],
+         [[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [0.0, -2.0]]),
+    ]
+    for pf, x, xi in cases:
+        x, xi = np.array(x), np.array(xi)
+        batch = solve_time_for_direction(pf, x, xi, t_range=t_range)
+        ref = [reference_solve_time(pf, p, d, t_range=t_range) for p, d in zip(x, xi)]
+        assert batch == ref
+    # the cases do hold each kind: a flat pair, a grid-node root, an invisible pair
+    assert len(solve_time_for_direction(sync_pf, np.array([0.2, 0.1]), np.array([1.0, 0.0]),
+                                        t_range=t_range)) == 1
+    assert solve_time_for_direction(sync_pf, np.array([0.2, 0.1]), np.array([0.0, 1.0]),
+                                    t_range=t_range) == []
+    assert solve_time_for_direction(static_pf, np.zeros(2), np.array([1.0, 0.0]),
+                                    t_range=t_range)[0] == (0.0, 1.0)
+
+
+def test_solve_time_batch_shapes(static_pf):
+    x = np.array([0.1, -0.2])
+    xi = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    one = solve_time_for_direction(static_pf, x, xi[0])
+    assert isinstance(one, list) and all(isinstance(r, tuple) and len(r) == 2 for r in one)
+    batch = solve_time_for_direction(static_pf, np.tile(x, (3, 1)), xi)
+    assert len(batch) == 3 and batch[0] == one
+    # a single x (or xi) is shared by the batch
+    assert solve_time_for_direction(static_pf, x, xi) == batch
+    assert solve_time_for_direction(static_pf, np.zeros((0, 2)), np.zeros((0, 2))) == []
+    with pytest.raises(ValueError):
+        solve_time_for_direction(static_pf, np.tile(x, (2, 1)), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # visibility maps
 # ---------------------------------------------------------------------------
@@ -149,6 +203,16 @@ def test_visibility_static_limited_arcs(static_pf):
     for ang in angles[wrong]:
         d = np.min(np.abs(((ang - ends) + math.pi) % TWO_PI - math.pi))
         assert d <= cell + 1e-12
+
+
+def test_visibility_map_of_points_equals_per_point(breathing_pf):
+    pts = np.array([[0.3, -0.2], [0.0, 0.0], [-0.5, 0.4]])
+    vm = visibility_map(breathing_pf, pts, 8, t_range=(0.0, 2.0))
+    assert vm.count.shape == (3, 8)
+    for k, p in enumerate(pts):
+        one = visibility_map(breathing_pf, p, 8, t_range=(0.0, 2.0))
+        np.testing.assert_array_equal(vm.count[k], one.count)
+        assert vm.t_witness[k] == one.t_witness
 
 
 def test_visibility_sync_rotation(sync_pf):

@@ -27,6 +27,8 @@ from curvetomo import (
 from curvetomo.operators import LevelSetTransform
 from curvetomo.phantom import EllipseSpec, render_phantom
 
+from conftest import atlas_probe_pairs, reference_solve_time
+
 
 def smooth_field(img, seed, sigma=3.0, support_frac=0.9):
     r = np.random.default_rng(seed)
@@ -285,6 +287,51 @@ def test_atlas_limited_angle_coverage_error(static_pf):
     with pytest.raises(CoverageError) as exc:
         build_default_atlas(pf, 1.0, 2)
     assert len(exc.value.uncovered) > 0
+
+
+def test_atlas_limited_angle_uncovered_equals_per_pair(static_pf, monkeypatch):
+    """The batched coverage check reports exactly the pairs that a per-pair
+    loop over the reference solver finds unseen by the atlas."""
+    import copy
+
+    from curvetomo import operators
+
+    built = []
+
+    class RecordingAtlas(CutoffAtlas):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(operators, "CutoffAtlas", RecordingAtlas)
+    pf = copy.copy(static_pf)
+    pf.t_range = (0.0, math.pi / 3)
+    with pytest.raises(CoverageError) as exc:
+        build_default_atlas(pf, 1.0, 2)
+    (atlas,) = built
+    expected = []
+    for p, d in zip(*atlas_probe_pairs(1.0)):
+        seen = 0.0
+        for t_root, _ in reference_solve_time(pf, p, d):
+            s_val = float(pf._eval_raw(t_root, p))
+            seen = max(seen, float(atlas.chi_pair(p, s_val, t_root)))
+        if seen < 0.25:
+            expected.append((p.tolist(), d.tolist()))
+    assert exc.value.uncovered == expected
+
+
+def test_empty_plan_transform_is_zero(static_pf):
+    """An s range that misses the support captures no seed: the plan is
+    empty and the transform is zero, not an error."""
+    img = make_image_grid(16)
+    tr = LevelSetTransform(static_pf, UnitWeight(), img,
+                           SinoSpec(ns=9, nt=8, s_range=(5.0, 6.0)))
+    f = img.like(np.ones((img.nx, img.ny)))
+    g = tr.forward(f)
+    assert g.values.shape == (9, 8) and np.all(g.values == 0.0)
+    assert np.all(tr.adjoint(smooth_sino(tr, 3)).values == 0.0)
+    assert tr.plan.matrix.nnz == 0
+    assert not tr.plan.failed.any()
 
 
 def test_chart_taper_profile():
