@@ -310,18 +310,29 @@ class BreathingMotion(MotionModel):
         return self._scale(np.asarray(t, dtype=float), r)[..., None] * z
 
     def _solve_radius(self, t, rho):
-        """Invert r * scale(t, r) = rho by vectorized Newton iteration."""
-        t = np.asarray(t, dtype=float)
-        rho = np.asarray(rho, dtype=float)
+        """Invert r * scale(t, r) = rho by vectorized Newton iteration.
+
+        Each point stops as soon as its own residual is small and is left
+        untouched after that, so its radius does not depend on which other
+        points share the call.
+        """
+        shape = np.broadcast_shapes(np.shape(t), np.shape(rho))
+        t = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), shape).ravel()
         r = rho / self._scale(t, rho)  # good starting guess for small amplitude
+        tol = 1e-14 * max(1.0, self.r_support)
+        # the points still iterating: flat index, time, target and radius
+        idx, tl, rhol, rl = np.arange(len(r)), t, rho, r
         for _ in range(40):
-            c = self._scale(t, r)
-            f = r * c - rho
-            if np.max(np.abs(f), initial=0.0) < 1e-14 * max(1.0, self.r_support):
+            c = self._scale(tl, rl)
+            f = rl * c - rhol
+            live = np.abs(f) >= tol
+            if not live.any():
                 break
-            fp = c + r * self._scale_dr(t, r)
-            r = np.maximum(r - f / fp, 0.0)
-        return r
+            idx, tl, rhol, rl, c, f = (a[live] for a in (idx, tl, rhol, rl, c, f))
+            rl = np.maximum(rl - f / (c + rl * self._scale_dr(tl, rl)), 0.0)
+            r[idx] = rl
+        return r.reshape(shape)
 
     def inverse(self, t, x):
         x = np.asarray(x, dtype=float)

@@ -36,7 +36,9 @@ DEFAULT_SEED = 0xC0FFEE
 # ---------------------------------------------------------------------------
 
 _CRC64_POLY = 0x42F0E1EBA9EA3693
-_CRC64_TABLE = None
+_CRC64_CHUNK = 128      # bytes per lane of the chunk-parallel CRC
+_CRC64_TABLE = None     # (256,) uint64: one byte through the register
+_CRC64_SHIFTS = []      # [j]: (8, 256) uint64 tables appending CHUNK * 2**j zero bytes
 
 
 def _crc64_table():
@@ -51,17 +53,63 @@ def _crc64_table():
                 else:
                     crc = (crc << 1) & 0xFFFFFFFFFFFFFFFF
             table.append(crc)
-        _CRC64_TABLE = table
+        _CRC64_TABLE = np.array(table, dtype=np.uint64)
     return _CRC64_TABLE
 
 
+def _crc64_apply(crc, tables):
+    """The linear map given by per-byte ``tables`` applied to uint64 ``crc``."""
+    out = tables[0][crc & np.uint64(0xFF)]
+    for b in range(1, 8):
+        out ^= tables[b][(crc >> np.uint64(8 * b)) & np.uint64(0xFF)]
+    return out
+
+
+def _crc64_shift(level):
+    """Tables of the map crc(a) -> crc(a followed by CHUNK * 2**level zero
+    bytes), built by repeated squaring of the one-chunk map."""
+    # every byte value at every byte position of the register
+    entries = np.arange(256, dtype=np.uint64) << (np.uint64(8) * np.arange(8, dtype=np.uint64))[:, None]
+    if not _CRC64_SHIFTS:
+        table = _crc64_table()
+        crc = entries
+        for _ in range(_CRC64_CHUNK):
+            crc = table[crc >> np.uint64(56)] ^ (crc << np.uint64(8))
+        _CRC64_SHIFTS.append(crc)
+    while len(_CRC64_SHIFTS) <= level:
+        _CRC64_SHIFTS.append(_crc64_apply(_crc64_apply(entries, _CRC64_SHIFTS[-1]),
+                                          _CRC64_SHIFTS[-1]))
+    return _CRC64_SHIFTS[level]
+
+
 def crc64(data):
-    """CRC64/ECMA-182 of a bytes-like object, as a 16-hex-digit string."""
+    """CRC64/ECMA-182 of a bytes-like object, as a 16-hex-digit string.
+
+    The CRC has zero initial value and is linear, so leading zero bytes
+    leave it unchanged and crc(a + b) = crc(a followed by len(b) zero bytes)
+    ^ crc(b).  The data, zero-padded at the front to whole chunks, is run
+    through the byte table one column at a time for all chunks at once; the
+    chunk CRCs are then combined pairwise with the zero-byte shift tables.
+    """
     table = _crc64_table()
-    crc = 0
-    for byte in bytes(data):
-        crc = (table[((crc >> 56) ^ byte) & 0xFF] ^ (crc << 8)) & 0xFFFFFFFFFFFFFFFF
-    return f"{crc:016x}"
+    buf = np.frombuffer(bytes(data), dtype=np.uint8)
+    lanes = -(-len(buf) // _CRC64_CHUNK)
+    padded = np.zeros(lanes * _CRC64_CHUNK, dtype=np.uint8)
+    padded[len(padded) - len(buf):] = buf
+    crc = np.zeros(lanes, dtype=np.uint64)
+    idx = np.empty(lanes, dtype=np.uint64)
+    for col in padded.reshape(lanes, _CRC64_CHUNK).T.astype(np.uint64):
+        np.right_shift(crc, np.uint64(56), out=idx)
+        idx ^= col
+        crc <<= np.uint64(8)
+        crc ^= table[idx]
+    level = 0
+    while len(crc) > 1:
+        if len(crc) % 2:       # a leading zero chunk
+            crc = np.concatenate([np.zeros(1, dtype=np.uint64), crc])
+        crc = _crc64_apply(crc[0::2], _crc64_shift(level)) ^ crc[1::2]
+        level += 1
+    return f"{int(crc[0]) if len(crc) else 0:016x}"
 
 
 # ---------------------------------------------------------------------------

@@ -408,31 +408,52 @@ def _stable_order(keys, n_keys):
 _BLOCK_BYTES = 16 * 2**20
 
 
+class _Buffer:
+    """An array filled from the front, chunk by chunk.
+
+    Storage starts at ``capacity`` rows (of ``width`` columns, if given) and
+    grows by doubling in place (``ndarray.resize``, a realloc), so the
+    filled array is never held twice and pages are only touched as they are
+    written.  ``finish`` trims the storage to the filled rows and returns it.
+    """
+
+    def __init__(self, capacity, dtype=float, width=None):
+        shape = (max(int(capacity), 1),) + (() if width is None else (width,))
+        self.array = np.empty(shape, dtype=dtype)
+        self.size = 0
+
+    def extend(self, values):
+        end = self.size + len(values)
+        if end > len(self.array):
+            self.array.resize((max(end, 2 * len(self.array)),) + self.array.shape[1:],
+                              refcheck=False)
+        self.array[self.size:end] = values
+        self.size = end
+
+    def finish(self):
+        self.array.resize((self.size,) + self.array.shape[1:], refcheck=False)
+        return self.array
+
+
 class _RowBlocks:
     """A CSR matrix assembled from consecutive blocks of rows.
 
-    Entries are written in place into storage that starts at ``capacity``
-    and grows by doubling (``ndarray.resize``, a realloc), so the finished
-    matrix is never held twice; pages are only touched as they are written.
+    The entries and the per-row counts are written into growing buffers
+    (``_Buffer``) that start at ``capacity`` entries and ``rows`` rows, so
+    the finished matrix is never held twice and no per-block array stays
+    alive until the end.
     """
 
-    def __init__(self, ncols, capacity):
+    def __init__(self, ncols, capacity, rows=1):
         self.ncols = ncols
-        self.nnz = 0
-        self.data = np.empty(max(int(capacity), 1))
-        self.indices = np.empty(len(self.data), dtype=np.int32)
-        self.row_counts = []
+        self.data = _Buffer(capacity)
+        self.indices = _Buffer(capacity, dtype=np.int32)
+        self.row_counts = _Buffer(rows, dtype=np.int64)
 
     def append(self, row_counts, indices, data):
-        end = self.nnz + len(data)
-        if end > len(self.data):
-            size = max(end, 2 * len(self.data))
-            self.data.resize(size, refcheck=False)
-            self.indices.resize(size, refcheck=False)
-        self.data[self.nnz:end] = data
-        self.indices[self.nnz:end] = indices
-        self.row_counts.append(row_counts)
-        self.nnz = end
+        self.data.extend(data)
+        self.indices.extend(indices)
+        self.row_counts.extend(row_counts)
 
     def append_dense(self, dense, nrows):
         """Append the first ``nrows`` rows of the flat accumulator ``dense``
@@ -444,13 +465,10 @@ class _RowBlocks:
         dense[nz] = 0.0
 
     def tocsr(self):
-        self.data.resize(self.nnz, refcheck=False)
-        self.indices.resize(self.nnz, refcheck=False)
-        counts = np.concatenate(self.row_counts)
-        indptr = np.zeros(len(counts) + 1, dtype=np.int32 if self.nnz < 2**31 else np.int64)
+        data, indices, counts = (b.finish() for b in (self.data, self.indices, self.row_counts))
+        indptr = np.zeros(len(counts) + 1, dtype=np.int32 if len(data) < 2**31 else np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return sparse.csr_matrix((self.data, self.indices, indptr),
-                                 shape=(len(counts), self.ncols))
+        return sparse.csr_matrix((data, indices, indptr), shape=(len(counts), self.ncols))
 
 
 class LevelSetTransform:
@@ -513,6 +531,16 @@ class LevelSetTransform:
         return pts[np.hypot(pts[:, 0], pts[:, 1]) <= r + 1e-12]
 
     def _build_plan(self):
+        """Trace one curve per (s, t) sample and assemble M from its points.
+
+        Each sample's curve starts at the seed nearest its level, projected
+        onto the level set; all curves are traced together.  The tracer
+        streams each step's points inside the trim disk (radius R + 4h) into
+        point, curve-id and weight buffers (``_Buffer``) sized for every
+        curve crossing that disk, which grow in place if needed, so the
+        trace leaves no per-step arrays behind.  Points of failed curves are
+        dropped and the weights multiplied by mu.
+        """
         pf = self.pf
         ns, nt = len(self.s_grid), len(self.t_grid)
         n_curves = ns * nt
@@ -554,16 +582,20 @@ class LevelSetTransform:
         kept_flat = act_idx[keep]
 
         # per step: the emitted points inside the trim disk, with their flat
-        # curve ids and trapezoid weights
-        emitted = []
+        # curve ids and trapezoid weights.  A curve crosses the disk along
+        # about a diameter at most, and both walks emit its start point
         trim_r = self.support_radius + 4 * self.spacing
         trim2 = trim_r * trim_r
+        capacity = len(kept_flat) * int(2.0 * trim_r / self.step + 2)
+        points = _Buffer(capacity, width=2)
+        ids = _Buffer(capacity, dtype=np.int64)
+        coeff = _Buffer(capacity)
 
-        def emit(points, local_idx, weights):
-            sel = np.flatnonzero(points[:, 0] * points[:, 0] + points[:, 1] * points[:, 1]
-                                 <= trim2)
-            emitted.append((np.take(points, sel, axis=0), kept_flat[local_idx[sel]],
-                            weights[sel]))
+        def emit(p, local_idx, weights):
+            sel = np.flatnonzero(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] <= trim2)
+            points.extend(np.take(p, sel, axis=0))
+            ids.extend(kept_flat[local_idx[sel]])
+            coeff.extend(weights[sel])
 
         stop_rect = pf.domain.shrunk(2.0 * self.step)
         _, _, _, stalled = _trace_batch(
@@ -573,17 +605,7 @@ class LevelSetTransform:
             emit=emit,
         )
         failed[kept_flat[stalled]] = True
-        if not emitted:     # nothing was traced
-            emit(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0))
-
-        # in emission order; each field is released once joined
-        fields = [list(f) for f in zip(*emitted)]
-        emitted.clear()
-        joined = []
-        for f in fields:
-            joined.append(np.concatenate(f))
-            f.clear()
-        points, ids, coeff = joined
+        points, ids, coeff = points.finish(), ids.finish(), coeff.finish()
         drop = failed[ids]
         if drop.any():
             keep = ~drop
@@ -611,7 +633,7 @@ class LevelSetTransform:
         counts = np.bincount(ids // rows_per_block, minlength=-(-n_curves // rows_per_block))
         bounds = np.concatenate([[0], np.cumsum(counts)])
         dense = np.zeros(rows_per_block * npx)
-        matrix = _RowBlocks(npx, 3 * len(ids))
+        matrix = _RowBlocks(npx, 3 * len(ids), rows=n_curves)
         for b in range(len(counts)):
             sel = by_row[bounds[b]:bounds[b + 1]]
             r0 = b * rows_per_block
@@ -683,7 +705,7 @@ class LevelSetTransform:
         order = _SPLINE_ORDER[self.interp]
         # about 80 bytes of scratch per (pixel, time, s-tap)
         px_per_block = max(1, _BLOCK_BYTES // (80 * (order + 1) * nt))
-        matrix = _RowBlocks(ns * nt, (order + 1) * npx * nt)
+        matrix = _RowBlocks(ns * nt, (order + 1) * npx * nt, rows=npx)
         for p0 in range(0, npx, px_per_block):
             # (pixel, time) arrays
             x = pts[p0:p0 + px_per_block, None, :]

@@ -23,7 +23,7 @@ from curvetomo import (
 )
 from curvetomo.geometry import PhaseFunction, Rect, TWO_PI
 
-from conftest import support_samples
+from conftest import atlas_probe_pairs, support_samples
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +363,21 @@ def test_frame_h_equals_column_det(breathing_pf, rng):
 def test_fd_derivatives_domain_error(breathing_pf):
     with pytest.raises(DomainError):
         fd_derivatives(breathing_pf, 0.1, np.array([1.6, 0.0]))
+
+
+def test_breathing_phase_independent_of_batch(breathing_pf):
+    """phi and grad phi at the witness times of the atlas direction check,
+    one point at a time, equal all points at once bit for bit: each point's
+    breathing inverse converges on its own."""
+    from curvetomo.microlocal import solve_time_for_direction
+
+    x, xi = atlas_probe_pairs()
+    roots = solve_time_for_direction(breathing_pf, x, xi)
+    t = np.array([r for pair in roots for r, _ in pair])
+    pts = np.repeat(x, [len(pair) for pair in roots], axis=0)
+    assert len(t) == 1344
+    phi = breathing_pf._eval_raw(t, pts)
+    grad = breathing_pf._grad_x_raw(t, pts)
+    for i in range(len(t)):
+        assert breathing_pf._eval_raw(t[i], pts[i]) == phi[i]
+        np.testing.assert_array_equal(breathing_pf._grad_x_raw(t[i], pts[i]), grad[i])

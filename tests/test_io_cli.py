@@ -34,6 +34,45 @@ def test_crc64_reference_vector():
     assert crc64(b"123456789") == "6c40df5f0b497347"
 
 
+def _crc64_bytewise(data):
+    """CRC64/ECMA-182 one byte at a time: the textbook table-driven loop."""
+    table = []
+    for i in range(256):
+        crc = i << 56
+        for _ in range(8):
+            crc = ((crc << 1) ^ (0x42F0E1EBA9EA3693 if crc >> 63 else 0)) & 0xFFFFFFFFFFFFFFFF
+        table.append(crc)
+    crc = 0
+    for byte in bytes(data):
+        crc = (table[((crc >> 56) ^ byte) & 0xFF] ^ (crc << 8)) & 0xFFFFFFFFFFFFFFFF
+    return f"{crc:016x}"
+
+
+def test_crc64_matches_bytewise_loop():
+    """Chunk-parallel CRC against the per-byte loop, around one chunk and on
+    a sinogram-sized payload whose length is no multiple of the chunk."""
+    from curvetomo.io_cli import _CRC64_CHUNK
+
+    data = np.random.default_rng(61).integers(0, 256, 98 * 1024 + 37, dtype=np.uint8).tobytes()
+    assert _crc64_bytewise(b"123456789") == "6c40df5f0b497347"
+    for n in (0, 1, _CRC64_CHUNK - 1, _CRC64_CHUNK, _CRC64_CHUNK + 1, len(data)):
+        assert crc64(data[:n]) == _crc64_bytewise(data[:n]), n
+    assert crc64(bytearray(data[:1000])) == crc64(memoryview(data)[:1000])
+
+
+def test_grid_file_checksum_roundtrip(tmp_path):
+    """A 68 x 180 sinogram file carries the per-byte CRC of its payload and
+    reads back unchanged."""
+    g = Sinogram(np.linspace(-1, 1, 68), np.linspace(0, 6, 180),
+                 np.random.default_rng(62).standard_normal((68, 180)))
+    path = tmp_path / "sino.grid"
+    written = write_grid_file(path, g)
+    assert written["checksum"] == _crc64_bytewise(path.read_bytes())
+    back, sidecar = read_grid_file(path)
+    assert sidecar["checksum"] == written["checksum"]
+    np.testing.assert_array_equal(back.values, g.values)
+
+
 def test_grid_file_roundtrip_image(tmp_path):
     img = make_image_grid(24, values=np.arange(576, dtype=float).reshape(24, 24))
     path = tmp_path / "img.grid"

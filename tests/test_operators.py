@@ -529,6 +529,64 @@ def test_row_blocks_grow_past_capacity():
     np.testing.assert_array_equal(built.tocsr().toarray(), expected)
 
 
+class _ListJoinBuffer:
+    """Reference for ``operators._Buffer``: keeps a copy of every chunk and
+    joins them at the end."""
+
+    def __init__(self, capacity, dtype=float, width=None):
+        self.dtype = dtype
+        self.shape = () if width is None else (width,)
+        self.chunks = []
+
+    def extend(self, values):
+        self.chunks.append(np.array(values, dtype=self.dtype))
+
+    def finish(self):
+        return np.concatenate([np.empty((0,) + self.shape, self.dtype)] + self.chunks)
+
+
+def _plan_arrays(case):
+    pf, mu, kw = _geometry(case)
+    tr = LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw)
+    plan = tr.plan
+    return {"points": plan.points, "coeff": plan.coeff, "curve_id": plan.curve_id,
+            "failed": plan.failed, "M.data": plan.matrix.data,
+            "M.indices": plan.matrix.indices, "M.indptr": plan.matrix.indptr}
+
+
+def _assert_bit_equal(got, expected):
+    for key, want in expected.items():
+        assert got[key].dtype == want.dtype and got[key].shape == want.shape, key
+        assert got[key].tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
+def test_plan_buffers_match_list_and_join(case, monkeypatch):
+    """The plan arrays and M streamed into growing buffers equal, bit for
+    bit, the emitted chunks kept in lists and joined."""
+    from curvetomo import operators
+
+    got = _plan_arrays(case)
+    monkeypatch.setattr(operators, "_Buffer", _ListJoinBuffer)
+    _assert_bit_equal(got, _plan_arrays(case))
+
+
+@pytest.mark.parametrize("case", ["static", "fan"])
+def test_plan_buffers_regrow_from_one_row(case, monkeypatch):
+    """Buffers that start at one row regrow by doubling, more than ten times
+    for these plans, and give the same arrays."""
+    from curvetomo import operators
+
+    class OneRow(operators._Buffer):
+        def __init__(self, capacity, dtype=float, width=None):
+            super().__init__(1, dtype, width)
+
+    expected = _plan_arrays(case)
+    assert len(expected["points"]) > 2**10
+    monkeypatch.setattr(operators, "_Buffer", OneRow)
+    _assert_bit_equal(_plan_arrays(case), expected)
+
+
 # ---------------------------------------------------------------------------
 # failure accounting
 # ---------------------------------------------------------------------------
