@@ -83,8 +83,9 @@ class _Run:
             "metrics": {},
         }
 
-    def add_input(self, path):
-        self.manifest["inputs"][os.path.basename(path)] = _file_checksum(path)
+    def add_input(self, path, sidecar):
+        # the checksum read_grid_file verified against the payload
+        self.manifest["inputs"][os.path.basename(path)] = sidecar["checksum"]
 
     def write_grid(self, name, obj):
         path = os.path.join(self.out_dir, name)
@@ -122,10 +123,12 @@ def _phantom_from_config(config, nx, support_radius):
     return specs, render_phantom(specs, nx, support_radius=support_radius)
 
 
-def _transform(config, image_like):
-    pf, mu, spec, _ = build_geometry(config)
-    return pf, mu, LevelSetTransform(pf, mu, image_like, spec, interp=config.interp,
-                                     chunk_t=config.chunk_t)
+def _transform(config, image_like=None):
+    """Phase, image grid (``image_like`` or the configured one) and transform."""
+    pf, mu, spec, image_kw = build_geometry(config)
+    img = make_image_grid(**image_kw) if image_like is None else image_like
+    return pf, img, LevelSetTransform(pf, mu, img, spec, interp=config.interp,
+                                      chunk_t=config.chunk_t)
 
 
 def cmd_phantom(args, config, run):
@@ -142,8 +145,8 @@ def cmd_phantom(args, config, run):
 
 
 def cmd_forward(args, config, run):
-    img, _ = read_grid_file(args.image)
-    run.add_input(args.image)
+    img, sidecar = read_grid_file(args.image)
+    run.add_input(args.image, sidecar)
     _, _, tr = _transform(config, img)
     g = tr.forward(img)
     n_nan = int(np.sum(~np.isfinite(g.values)))
@@ -154,9 +157,7 @@ def cmd_forward(args, config, run):
 
 
 def cmd_adjoint_test(args, config, run):
-    _, _, _, image_kw = build_geometry(config)
-    img = make_image_grid(**image_kw)
-    pf, mu, tr = _transform(config, img)
+    _, img, tr = _transform(config)
     rng = np.random.default_rng(run.manifest["seed"])
     worst = 0.0
     for _ in range(args.pairs):
@@ -248,9 +249,9 @@ def cmd_symbol(args, config, run):
 
 
 def cmd_normal(args, config, run):
-    img, _ = read_grid_file(args.image)
-    run.add_input(args.image)
-    pf, mu, tr = _transform(config, img)
+    img, sidecar = read_grid_file(args.image)
+    run.add_input(args.image, sidecar)
+    pf, _, tr = _transform(config, img)
     n_charts = int(config.atlas.get("n_charts", 1))
     atlas = build_default_atlas(pf, img.support_radius, n_charts)
     Nf = NormalOperator(tr, atlas, symmetric=args.symmetric).apply(img)
@@ -260,11 +261,9 @@ def cmd_normal(args, config, run):
 
 
 def cmd_reconstruct(args, config, run):
-    g, _ = read_grid_file(args.data)
-    run.add_input(args.data)
-    _, _, _, image_kw = build_geometry(config)
-    img = make_image_grid(**image_kw)
-    pf, mu, tr = _transform(config, img)
+    g, sidecar = read_grid_file(args.data)
+    run.add_input(args.data, sidecar)
+    pf, img, tr = _transform(config)
     n_charts = int(config.atlas.get("n_charts", 1))
     atlas = build_default_atlas(pf, img.support_radius, n_charts)
     op = NormalOperator(tr, atlas, symmetric=True)
@@ -333,8 +332,8 @@ def cmd_perturb_sweep(args, config, run):
 
 
 def cmd_fanbeam_convert(args, config, run):
-    g_fan, _ = read_grid_file(args.data)
-    run.add_input(args.data)
+    g_fan, sidecar = read_grid_file(args.data)
+    run.add_input(args.data, sidecar)
     R = float(config.phase.get("R", 3.0)) if config.phase.get("family") == "fanbeam" else args.R
     g_par, info = fanbeam_convert(g_fan, R, ns=args.ns, n_beta=args.n_beta,
                                   weight_jacobian=args.weight_jacobian)

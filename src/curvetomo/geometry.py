@@ -11,7 +11,8 @@ perpendicular is the quarter turn ``(-sin t, cos t)``.
 
 Derivative access is uniform: phases either carry analytic derivatives
 (``analytic_derivatives`` is True) or fall back to central finite differences
-with step ``1e-4 * domain diameter``.
+with step ``1e-4 * domain diameter``; phi and grad_x phi come from one call
+(see ``PhaseFunction``).
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ DEFAULT_DOMAIN = Rect(-1.6, 1.6, -1.6, 1.6)
 class MotionModel:
     """Time-dependent diffeomorphism of the plane.
 
-    Subclasses provide ``forward``/``inverse`` (mutually inverse maps),
-    ``jac_det`` (spatial Jacobian determinant of the forward map) and
-    ``dt_inverse`` (time derivative of the inverse map).  ``inv_jacobian``
-    returns the 2x2 spatial Jacobian of the inverse map when an analytic
-    expression exists, else None and callers fall back to differences.
+    Subclasses provide ``forward``, ``inverse_jacobian`` (the inverse map
+    and its 2x2 spatial Jacobian, ``(psi_t^{-1}(x), D psi_t^{-1}(x))``, from
+    one inversion; ``inverse`` derives from it), ``jac_det`` (spatial
+    Jacobian determinant of the forward map) and ``dt_inverse`` (time
+    derivative of the inverse map).
 
     ``compactly_supported`` marks motions that are the identity outside the
     disk of radius ``identity_radius``; rigid rotations are deliberately not
@@ -104,22 +105,21 @@ class MotionModel:
     amplitude: float = 0.0
     compactly_supported: bool = False
     identity_radius: float = math.inf
-    analytic: bool = True
 
     def forward(self, t, z):
         raise NotImplementedError
 
-    def inverse(self, t, x):
+    def inverse_jacobian(self, t, x):
         raise NotImplementedError
+
+    def inverse(self, t, x):
+        return self.inverse_jacobian(t, x)[0]
 
     def jac_det(self, t, z):
         raise NotImplementedError
 
     def dt_inverse(self, t, x):
         raise NotImplementedError
-
-    def inv_jacobian(self, t, x):
-        return None
 
 
 class IdentityMotion(MotionModel):
@@ -135,17 +135,15 @@ class IdentityMotion(MotionModel):
         z = np.asarray(z, dtype=float)
         return np.broadcast_to(z, self._shape(t, z) + (2,)).copy()
 
-    def inverse(self, t, x):
-        return self.forward(t, x)
+    def inverse_jacobian(self, t, x):
+        return (self.forward(t, x),
+                np.broadcast_to(np.eye(2), self._shape(t, x) + (2, 2)).copy())
 
     def jac_det(self, t, z):
         return np.ones(self._shape(t, z))
 
     def dt_inverse(self, t, x):
         return np.zeros(self._shape(t, x) + (2,))
-
-    def inv_jacobian(self, t, x):
-        return np.broadcast_to(np.eye(2), self._shape(t, x) + (2, 2)).copy()
 
 
 def _rot_apply(theta, v):
@@ -170,8 +168,18 @@ class RotationMotion(MotionModel):
     def forward(self, t, z):
         return _rot_apply(self.rate * np.asarray(t, dtype=float), np.asarray(z, dtype=float))
 
-    def inverse(self, t, x):
-        return _rot_apply(-self.rate * np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    def inverse_jacobian(self, t, x):
+        theta = -self.rate * np.asarray(t, dtype=float)
+        c = np.cos(theta)
+        s = np.sin(theta)
+        x = np.asarray(x, dtype=float)
+        z = np.stack([c * x[..., 0] - s * x[..., 1], s * x[..., 0] + c * x[..., 1]], axis=-1)
+        jac = np.empty(z.shape + (2,))
+        jac[..., 0, 0] = c
+        jac[..., 0, 1] = -s
+        jac[..., 1, 0] = s
+        jac[..., 1, 1] = c
+        return z, jac
 
     def jac_det(self, t, z):
         z = np.asarray(z, dtype=float)
@@ -181,19 +189,6 @@ class RotationMotion(MotionModel):
         theta = -self.rate * np.asarray(t, dtype=float)
         # d/dt R_theta(x) with theta = -rate*t equals -rate * R_{theta + pi/2}(x)
         return -self.rate * _rot_apply(theta + 0.5 * math.pi, np.asarray(x, dtype=float))
-
-    def inv_jacobian(self, t, x):
-        theta = -self.rate * np.asarray(t, dtype=float)
-        c = np.cos(theta)
-        s = np.sin(theta)
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, np.shape(theta))
-        jac = np.empty(shape + (2, 2))
-        jac[..., 0, 0] = c
-        jac[..., 0, 1] = -s
-        jac[..., 1, 0] = s
-        jac[..., 1, 1] = c
-        return jac
 
 
 _AFFINE_M0 = np.array([[0.40, -0.15], [0.25, 0.30]])
@@ -238,9 +233,11 @@ class AffineMotion(MotionModel):
         A = self._A(t)
         return np.einsum("...ij,...j->...i", A, z) + self._b(t)
 
-    def inverse(self, t, x):
+    def inverse_jacobian(self, t, x):
         x = np.asarray(x, dtype=float)
-        return np.einsum("...ij,...j->...i", self._A_inv(t), x - self._b(t))
+        inv = self._A_inv(t)
+        z = np.einsum("...ij,...j->...i", inv, x - self._b(t))
+        return z, np.broadcast_to(inv, z.shape + (2,))
 
     def jac_det(self, t, z):
         A = self._A(t)
@@ -255,12 +252,6 @@ class AffineMotion(MotionModel):
         bprime = (self.amplitude * np.sin(t))[..., None] * self.v0
         rhs = np.einsum("...ij,...j->...i", Aprime, z) + bprime
         return -np.einsum("...ij,...j->...i", self._A_inv(t), rhs)
-
-    def inv_jacobian(self, t, x):
-        x = np.asarray(x, dtype=float)
-        inv = self._A_inv(t)
-        shape = np.broadcast_shapes(inv.shape[:-2], x[..., 0].shape)
-        return np.broadcast_to(inv, shape + (2, 2))
 
 
 class BreathingMotion(MotionModel):
@@ -334,12 +325,29 @@ class BreathingMotion(MotionModel):
             r[idx] = rl
         return r.reshape(shape)
 
-    def inverse(self, t, x):
+    def inverse_jacobian(self, t, x):
         x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
         rho = np.hypot(x[..., 0], x[..., 1])
         r = self._solve_radius(t, rho)
-        ratio = np.where(rho > 0.0, r / np.where(rho > 0.0, rho, 1.0), 1.0)
-        return ratio[..., None] * x
+        ratio = r / np.where(rho > 0.0, rho, 1.0)
+        inv = np.where(rho > 0.0, ratio, 1.0)[..., None] * x
+        c = self._scale(t, r)
+        cp = self._scale_dr(t, r)
+        # Sherman-Morrison inverse of D psi = c I + (c'/r) z z^T at z = psi^-1(x),
+        # with z taken as 0 where |x| <= 1e-12
+        safe_r = np.where(r > 1e-12, r, 1.0)
+        z = np.where(rho[..., None] > 1e-12, ratio[..., None] * x, 0.0)
+        alpha = np.where(r > 1e-12, cp / safe_r, 0.0)
+        denom = c + alpha * r * r
+        shape = np.broadcast_shapes(c.shape, x[..., 0].shape)
+        jac = np.zeros(shape + (2, 2))
+        coeff = np.where(np.abs(denom) > 0, alpha / denom, 0.0) / c
+        jac[..., 0, 0] = 1.0 / c - coeff * z[..., 0] * z[..., 0]
+        jac[..., 0, 1] = -coeff * z[..., 0] * z[..., 1]
+        jac[..., 1, 0] = -coeff * z[..., 1] * z[..., 0]
+        jac[..., 1, 1] = 1.0 / c - coeff * z[..., 1] * z[..., 1]
+        return inv, jac
 
     def jac_det(self, t, z):
         z = np.asarray(z, dtype=float)
@@ -360,27 +368,6 @@ class BreathingMotion(MotionModel):
         drdt = -(self.amplitude * np.cos(t) * eta * r) / denom
         ratio = np.where(rho > 0.0, drdt / np.where(rho > 0.0, rho, 1.0), 0.0)
         return ratio[..., None] * x
-
-    def inv_jacobian(self, t, x):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = np.hypot(x[..., 0], x[..., 1])
-        r = self._solve_radius(t, rho)
-        c = self._scale(t, r)
-        cp = self._scale_dr(t, r)
-        # Sherman-Morrison inverse of D psi = c I + (c'/r) z z^T at z = psi^-1(x)
-        safe_r = np.where(r > 1e-12, r, 1.0)
-        z = np.where(rho[..., None] > 1e-12, (r / np.where(rho > 0, rho, 1.0))[..., None] * x, 0.0)
-        alpha = np.where(r > 1e-12, cp / safe_r, 0.0)
-        denom = c + alpha * r * r
-        shape = np.broadcast_shapes(c.shape, x[..., 0].shape)
-        jac = np.zeros(shape + (2, 2))
-        coeff = np.where(np.abs(denom) > 0, alpha / denom, 0.0) / c
-        jac[..., 0, 0] = 1.0 / c - coeff * z[..., 0] * z[..., 0]
-        jac[..., 0, 1] = -coeff * z[..., 0] * z[..., 1]
-        jac[..., 1, 0] = -coeff * z[..., 1] * z[..., 0]
-        jac[..., 1, 1] = 1.0 / c - coeff * z[..., 1] * z[..., 1]
-        return jac
 
 
 _MOTION_REGISTRY = {
@@ -453,12 +440,41 @@ class BumpWeight(Weight):
 # ---------------------------------------------------------------------------
 
 
-class PhaseFunction:
-    """Base class; provides finite-difference derivative fallbacks.
+def _dot(a, b):
+    """Row-wise dot product of (..., 2) arrays."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
-    ``eval`` validates preconditions and raises; the ``_eval_raw`` family is
-    the non-raising path used by batch internals together with
-    ``branch_mask`` / ``domain`` termination logic.
+
+def _central_grad(value, h, x):
+    """Central differences with step h of the scalar field ``value`` at the
+    points x, stacked on the last axis."""
+    x = np.asarray(x, dtype=float)
+    e0 = np.array([h, 0.0])
+    e1 = np.array([0.0, h])
+    g0 = (value(x + e0) - value(x - e0)) / (2 * h)
+    g1 = (value(x + e1) - value(x - e1)) / (2 * h)
+    return np.stack([g0, g1], axis=-1)
+
+
+class PhaseFunction:
+    """Base class of the phase families.
+
+    A family writes phi and grad_x phi once, in ``_eval_grad_at(t, factor,
+    x)``, which returns both from one evaluation (for a dynamic phase, one
+    inversion of the motion); the gradient may come back unbroadcast where
+    it does not depend on x.  ``factor = _time_factor(t)`` holds the factors
+    of phi that depend on t alone, one row per time for t of shape (n,), so
+    batch callers (the tracer) compute it once and select its rows along
+    with the points.  ``_eval_grad_raw(t, x)``, ``_eval_raw`` and each
+    family's ``_grad_x_raw`` derive from it; a caller that needs phi and its
+    gradient at the same points makes one call.
+
+    The base class's own ``_grad_x_raw``, ``_dt_raw`` and ``_dt_grad_x_raw``
+    are central differences of phi with step ``fd_step``: the reference the
+    analytic derivatives are tested against, and the fallback of a family
+    without analytic time derivatives.  ``eval`` validates preconditions and
+    raises; the ``_raw`` accessors are the non-raising path used by batch
+    internals together with ``branch_mask`` / ``domain`` termination logic.
     """
 
     analytic_derivatives = False
@@ -470,18 +486,27 @@ class PhaseFunction:
         # central differences: balances truncation and round-off at float64
         return 1e-4 * self.domain.diameter
 
-    # -- raw evaluators ----------------------------------------------------
-    def _eval_raw(self, t, x):
+    # -- the evaluator and what derives from it ------------------------------
+    def _time_factor(self, t):
+        return t
+
+    def _eval_grad_at(self, t, factor, x):
         raise NotImplementedError
 
+    def _eval_grad_raw(self, t, x):
+        t = np.asarray(t, dtype=float)
+        phi, g = self._eval_grad_at(t, self._time_factor(t), np.asarray(x, dtype=float))
+        if g.shape[:-1] != np.shape(phi):
+            g = np.broadcast_to(g, np.shape(phi) + (2,)).copy()
+        return phi, g
+
+    def _eval_raw(self, t, x):
+        t = np.asarray(t, dtype=float)
+        return self._eval_grad_at(t, self._time_factor(t), np.asarray(x, dtype=float))[0]
+
+    # -- finite-difference reference ----------------------------------------
     def _grad_x_raw(self, t, x):
-        h = self.fd_step
-        x = np.asarray(x, dtype=float)
-        e0 = np.array([h, 0.0])
-        e1 = np.array([0.0, h])
-        g0 = (self._eval_raw(t, x + e0) - self._eval_raw(t, x - e0)) / (2 * h)
-        g1 = (self._eval_raw(t, x + e1) - self._eval_raw(t, x - e1)) / (2 * h)
-        return np.stack([g0, g1], axis=-1)
+        return _central_grad(lambda y: self._eval_raw(t, y), self.fd_step, x)
 
     def _dt_raw(self, t, x):
         h = self.fd_step
@@ -500,22 +525,6 @@ class PhaseFunction:
 
     def _check(self, t, x):
         return None
-
-    # Batch callers that evaluate the same times many times over (the
-    # tracer) compute the factors of phi that depend on t alone once, with
-    # ``_time_factor(t)`` for t of shape (n,), and pass them to ``_eval_at``
-    # and ``_grad_x_at`` with t.  Rows of the factor follow the points, so
-    # callers select them along with the points.  Phases with such a factor
-    # write phi and its gradient only in these two methods, which their
-    # ``_eval_raw`` and ``_grad_x_raw`` call; the others ignore the factor.
-    def _time_factor(self, t):
-        return t
-
-    def _eval_at(self, t, factor, x):
-        return self._eval_raw(t, x)
-
-    def _grad_x_at(self, t, factor, x):
-        return self._grad_x_raw(t, x)
 
     # -- public, validating evaluators --------------------------------------
     def eval(self, t, x):
@@ -545,13 +554,14 @@ class StaticPhase(PhaseFunction):
         self.domain = domain
         self.t_range = tuple(t_range)
 
-    def _eval_raw(self, t, x):
-        return self._eval_at(t, omega(t), np.asarray(x, dtype=float))
+    def _time_factor(self, t):
+        return omega(t)
+
+    def _eval_grad_at(self, t, w, x):
+        return _dot(x, w), w
 
     def _grad_x_raw(self, t, x):
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, np.shape(t))
-        return np.broadcast_to(omega(t), shape + (2,)).copy()
+        return self._eval_grad_raw(t, x)[1]
 
     def _dt_raw(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -563,23 +573,15 @@ class StaticPhase(PhaseFunction):
         shape = np.broadcast_shapes(x[..., 0].shape, np.shape(t))
         return np.broadcast_to(omega_perp(t), shape + (2,)).copy()
 
-    def _time_factor(self, t):
-        return omega(t)
-
-    def _eval_at(self, t, w, x):
-        return x[..., 0] * w[..., 0] + x[..., 1] * w[..., 1]
-
-    def _grad_x_at(self, t, w, x):
-        return w
-
 
 class DynamicPhase(PhaseFunction):
     """phi(t, x) = psi_t^{-1}(x) . omega(t) for a motion model psi_t.
 
-    Spatial and time derivatives use the motion's analytic inverse Jacobian
-    and time derivative when available; the mixed derivative is a central
-    difference in t of the spatial gradient.  With ``use_analytic=False``
-    every derivative is a central difference of the phase itself.
+    phi and grad_x phi = (D psi_t^{-1})^T omega(t) come from one call of
+    the motion's ``inverse_jacobian``; the time derivative uses the motion's
+    ``dt_inverse``, and the mixed derivative is a central difference in t of
+    the spatial gradient.  With ``use_analytic=False`` every derivative is a
+    central difference of the phase itself.
     """
 
     name = "dynamic"
@@ -588,10 +590,7 @@ class DynamicPhase(PhaseFunction):
         self.motion = motion
         self.domain = domain
         self.t_range = tuple(t_range)
-        self._analytic = bool(
-            use_analytic
-            and motion.inv_jacobian(0.0, np.zeros(2)) is not None
-        )
+        self._analytic = bool(use_analytic)
 
     @property
     def analytic_derivatives(self):
@@ -601,32 +600,22 @@ class DynamicPhase(PhaseFunction):
         if not np.all(self.domain.contains(x)):
             raise DomainError("point outside extended domain of dynamic phase")
 
-    def _eval_raw(self, t, x):
-        t = np.asarray(t, dtype=float)
-        return self._eval_at(t, omega(t), x)
-
-    def _grad_x_raw(self, t, x):
-        if not self._analytic:
-            return super()._grad_x_raw(t, x)
-        t = np.asarray(t, dtype=float)
-        return self._grad_x_at(t, omega(t), x)
-
     def _time_factor(self, t):
         return omega(t)
 
-    def _eval_at(self, t, w, x):
-        z = self.motion.inverse(t, x)
-        return z[..., 0] * w[..., 0] + z[..., 1] * w[..., 1]
+    def _eval_grad_at(self, t, w, x):
+        z, jac = self.motion.inverse_jacobian(t, x)
+        if self._analytic:
+            # (D psi^-1)^T omega, column by column
+            g = np.empty(jac.shape[:-1])
+            g[..., 0] = jac[..., 0, 0] * w[..., 0] + jac[..., 1, 0] * w[..., 1]
+            g[..., 1] = jac[..., 0, 1] * w[..., 0] + jac[..., 1, 1] * w[..., 1]
+        else:
+            g = _central_grad(lambda y: _dot(self.motion.inverse(t, y), w), self.fd_step, x)
+        return _dot(z, w), g
 
-    def _grad_x_at(self, t, w, x):
-        if not self._analytic:
-            return super()._grad_x_raw(t, x)
-        jac = self.motion.inv_jacobian(t, x)
-        # (D psi^-1)^T omega, column by column
-        g = np.empty(jac.shape[:-1])
-        g[..., 0] = jac[..., 0, 0] * w[..., 0] + jac[..., 1, 0] * w[..., 1]
-        g[..., 1] = jac[..., 0, 1] * w[..., 0] + jac[..., 1, 1] * w[..., 1]
-        return g
+    def _grad_x_raw(self, t, x):
+        return self._eval_grad_raw(t, x)[1]
 
     def _dt_raw(self, t, x):
         if not self._analytic:
@@ -690,14 +679,13 @@ class FanBeamPhase(PhaseFunction):
         if not np.all(self.branch_mask(t, x)):
             raise BranchError("fan-beam phase evaluated off the sgn(x^1 - R cos t) > 0 branch")
 
-    def _eval_raw(self, t, x):
-        u, v = self._uv(t, x)
-        return np.arctan2(v, u)
-
-    def _grad_x_raw(self, t, x):
+    def _eval_grad_at(self, t, factor, x):
         u, v = self._uv(t, x)
         q = u * u + v * v
-        return np.stack([u / q, v / q], axis=-1)
+        return np.arctan2(v, u), np.stack([u / q, v / q], axis=-1)
+
+    def _grad_x_raw(self, t, x):
+        return self._eval_grad_raw(t, x)[1]
 
     def _dt_raw(self, t, x):
         u, v = self._uv(t, x)
@@ -868,13 +856,15 @@ def project_to_level(pf, t, s, x0, tol, max_iter=20):
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     for _ in range(max_iter):
-        r = pf._eval_raw(t, x) - s
+        phi, g = pf._eval_grad_raw(t, x)
+        r = phi - s
         if np.max(np.abs(r), initial=0.0) < tol:   # also ends an empty batch
             break
-        g = pf._grad_x_raw(t, x)
         g2 = np.maximum(np.sum(g * g, axis=-1), 1e-300)
         x = x - (r / g2)[..., None] * g
-    ok = np.abs(pf._eval_raw(t, x) - s) < tol
+    else:
+        r = pf._eval_raw(t, x) - s
+    ok = np.abs(r) < tol
     ok &= pf.branch_mask(t, x)
     return x, ok
 
@@ -901,8 +891,7 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
         passed are not modified afterwards.
     collect : if True, return per-curve point lists (scalar-op path).
 
-    Returns (status, points_per_curve | None, closed_mask, stalled_mask).
-    status: 0 ok, 1 stalled.
+    Returns (points_per_curve | None, closed_mask, stalled_mask).
     """
     n = len(s)
     tol = curve_tolerance(pf)
@@ -927,30 +916,35 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     support_stop2 = None if support_stop is None else support_stop * support_stop
     closing2 = (0.5 * step) ** 2
 
-    def advance(base, at, h):
-        # base + h * unit tangent at ``at``; the tangent is grad phi turned
-        # a quarter counterclockwise.  Column by column: (n, 2) arrays
+    def advance(base, g, h):
+        # base + h * unit tangent, the tangent being the gradient g turned a
+        # quarter counterclockwise.  Column by column: (n, 2) arrays
         # broadcast slowly against (n, 1) ones
-        g = pf._grad_x_at(ta, factor, at)
         scale = h / np.maximum(np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]), 1e-300)
         out = np.empty_like(base)
         out[:, 0] = base[:, 0] - g[:, 1] * scale
         out[:, 1] = base[:, 1] + g[:, 0] * scale
         return out
 
+    g = None    # grad phi at the current vertices, when the corrector left it
     for k in range(max_steps):
         if not len(gid):
             break
-        nxt = advance(p, advance(p, p, 0.5 * dstep), dstep)
+        if g is None:
+            g = pf._eval_grad_at(ta, factor, p)[1]
+        mid = advance(p, g, 0.5 * dstep)
+        nxt = advance(p, pf._eval_grad_at(ta, factor, mid)[1], dstep)
         # corrector: pull back onto the level set along grad phi
         for _ in range(corrector_iters):
-            r = pf._eval_at(ta, factor, nxt) - sa
+            phi, g = pf._eval_grad_at(ta, factor, nxt)
+            r = phi - sa
             ok = np.abs(r) < tol
             if ok.all():
                 break
-            g = pf._grad_x_at(ta, factor, nxt)
             c = r / np.maximum(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1], 1e-300)
             nxt = np.stack([nxt[:, 0] - c * g[:, 0], nxt[:, 1] - c * g[:, 1]], axis=-1)
+        else:
+            g = None    # nxt moved after its last evaluation
         keep = ok & stop_rect.contains(nxt) & pf.branch_mask(ta, nxt)
         if support_stop is not None:
             keep &= nxt[:, 0] * nxt[:, 0] + nxt[:, 1] * nxt[:, 1] <= support_stop2
@@ -975,6 +969,8 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
         else:
             gid, ta, sa, dstep, prev_len = (a[keep] for a in (gid, ta, sa, dstep, seg))
             factor, start, p = (np.compress(keep, a, axis=0) for a in (factor, start, nxt))
+            if g is not None:
+                g = np.compress(keep, g, axis=0)
         if collect:
             for j, (i, h) in enumerate(zip(gid, dstep)):
                 walks[int(h < 0)][i].append(p[j])
@@ -986,8 +982,7 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     collected = None
     if collect:
         collected = [walks[0][i][::-1] + [p0[i].copy()] + walks[1][i] for i in range(n)]
-    status = 1 if stalled.any() else 0
-    return status, collected, closed, stalled
+    return collected, closed, stalled
 
 
 def trace_level_curve(pf, s, t, seed, step, max_steps=None):
@@ -1010,7 +1005,7 @@ def trace_level_curve(pf, s, t, seed, step, max_steps=None):
             f"seed projected outside the domain at (s={s}, t={t}): no component to trace"
         )
     stop_rect = pf.domain.shrunk(1.5 * step)
-    status, collected, closed, stalled = _trace_batch(
+    collected, closed, stalled = _trace_batch(
         pf, np.array([t], dtype=float), np.array([s], dtype=float), p0, step,
         stop_rect=stop_rect, collect=True, max_steps=max_steps,
     )

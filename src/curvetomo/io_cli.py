@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .operators import ImageGrid, SinoSpec, Sinogram
 
-TOOL_VERSION = "0.1.0"
 DEFAULT_SEED = 0xC0FFEE
 
 

@@ -34,6 +34,8 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from .errors import CoverageError, NumericBudgetError
+# The benchmark's tracer wraps ``project_to_level`` and ``_trace_batch`` where
+# the plan looks them up: as names of this module.
 from .geometry import (
     TWO_PI,
     curve_tolerance,
@@ -390,18 +392,6 @@ def _prefilter_matrix(n, order):
     return ndimage.spline_filter1d(np.eye(n), order=order, axis=0, mode="constant")
 
 
-def _stable_order(keys, n_keys):
-    """Stable argsort of integer keys in [0, n_keys), by least significant
-    digit radix passes over 16-bit digits (NumPy radix-sorts 16-bit types)."""
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    shift = 16
-    while (n_keys - 1) >> shift:
-        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
-
-
 # Scratch memory of one assembly block.  A block of M holds at most
 # ``chunk_t`` acquisition times and fewer where those would need more than
 # this; the pixel blocks of K are sized by it alone.
@@ -471,6 +461,12 @@ class _RowBlocks:
         return sparse.csr_matrix((data, indices, indptr), shape=(len(counts), self.ncols))
 
 
+# Quadrature step along traced curves and along the lines of
+# ``integrate_lines``, in pixels; seed points per axis of the plan's curves.
+_STEP_FACTOR = 0.5
+_SEED_GRID = 17
+
+
 class LevelSetTransform:
     """Forward/adjoint pair for one (phase, weight, grid) geometry.
 
@@ -495,8 +491,8 @@ class LevelSetTransform:
     the block sizes.
     """
 
-    def __init__(self, pf, mu, image_like, sino_spec, *, step_factor=0.5,
-                 seed_grid=17, interp="cubic", chunk_t=4, nan_budget=1e-3):
+    def __init__(self, pf, mu, image_like, sino_spec, *, interp="cubic", chunk_t=4,
+                 nan_budget=1e-3):
         self.pf = pf
         self.mu = mu
         self.interp = interp
@@ -511,8 +507,7 @@ class LevelSetTransform:
         self.spacing = image_like.spacing
         self.origin = np.asarray(image_like.origin, dtype=float)
         self.support_radius = image_like.support_radius
-        self.step = step_factor * self.spacing
-        self.seed_grid = int(seed_grid)
+        self.step = _STEP_FACTOR * self.spacing
         self.s_grid, self.t_grid = build_sinogram_grids(pf, sino_spec, self.support_radius)
         order = _SPLINE_ORDER[interp]
         self._prefilter_x = _prefilter_matrix(self.nx, order)
@@ -525,7 +520,7 @@ class LevelSetTransform:
 
     def _seed_points(self):
         r = self.support_radius + 2 * self.spacing
-        g = np.linspace(-r, r, self.seed_grid)
+        g = np.linspace(-r, r, _SEED_GRID)
         X, Y = np.meshgrid(g, g, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
         return pts[np.hypot(pts[:, 0], pts[:, 1]) <= r + 1e-12]
@@ -555,8 +550,7 @@ class LevelSetTransform:
             if not mask.any():
                 continue
             idx = np.nonzero(mask)[0]
-            vals = pf._eval_raw(t, seeds[idx])
-            grads = pf._grad_x_raw(t, seeds[idx])
+            vals, grads = pf._eval_grad_raw(t, seeds[idx])
             gscale = np.hypot(grads[:, 0], grads[:, 1])
             capture = 0.9 * gscale * cell * math.sqrt(2.0) + 1e-12
             diff = np.abs(vals[:, None] - self.s_grid[None, :])
@@ -598,7 +592,7 @@ class LevelSetTransform:
             coeff.extend(weights[sel])
 
         stop_rect = pf.domain.shrunk(2.0 * self.step)
-        _, _, _, stalled = _trace_batch(
+        _, _, stalled = _trace_batch(
             pf, t_tr, s_tr, p_tr, self.step,
             stop_rect=stop_rect,
             support_stop=trim_r + 2 * self.step,
@@ -620,8 +614,9 @@ class LevelSetTransform:
 
         A block accumulates its taps into a dense (rows, pixels) scratch
         array, so it holds at most ``chunk_t`` times and at most the rows
-        whose scratch fits in ``_BLOCK_BYTES``.  Each row sums its taps in
-        emission order, whatever the block size.
+        whose scratch fits in ``_BLOCK_BYTES``.  Points are grouped by block
+        with a stable sort, so each (row, pixel) sums its taps in emission
+        order, whatever the block size.
         """
         order = _SPLINE_ORDER[self.interp]
         n_curves = len(self.s_grid) * len(self.t_grid)
@@ -629,13 +624,17 @@ class LevelSetTransform:
         # 8 bytes of accumulator and 1 of nonzero mask per (row, pixel)
         rows_per_block = max(1, min(self.chunk_t * len(self.s_grid),
                                     _BLOCK_BYTES // (9 * npx)))
-        by_row = _stable_order(ids, n_curves)
-        counts = np.bincount(ids // rows_per_block, minlength=-(-n_curves // rows_per_block))
+        n_blocks = -(-n_curves // rows_per_block)
+        # block ids in the smallest unsigned type: little memory, and NumPy
+        # radix-sorts them up to 16 bits
+        by_block = np.argsort((ids // rows_per_block).astype(np.min_scalar_type(n_blocks - 1)),
+                              kind="stable")
+        counts = np.bincount(ids // rows_per_block, minlength=n_blocks)
         bounds = np.concatenate([[0], np.cumsum(counts)])
         dense = np.zeros(rows_per_block * npx)
         matrix = _RowBlocks(npx, 3 * len(ids), rows=n_curves)
         for b in range(len(counts)):
-            sel = by_row[bounds[b]:bounds[b + 1]]
+            sel = by_block[bounds[b]:bounds[b + 1]]
             r0 = b * rows_per_block
             cx = (points[sel, 0] - self.origin[0]) / self.spacing
             cy = (points[sel, 1] - self.origin[1]) / self.spacing
@@ -711,8 +710,8 @@ class LevelSetTransform:
             x = pts[p0:p0 + px_per_block, None, :]
             t = self.t_grid
             mask = pf.branch_mask(t, x)
-            sc = (np.where(mask, pf._eval_raw(t, x), np.nan) - s0) / ds
-            g = pf._grad_x_raw(t, x)
+            phi, g = pf._eval_grad_raw(t, x)
+            sc = (np.where(mask, phi, np.nan) - s0) / ds
             wj = (np.asarray(self.mu(t, x), dtype=float)
                   * np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]))
             flat = np.flatnonzero(np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0))
@@ -762,32 +761,25 @@ def adjoint(pf, mu, g, image_like, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def integrate_lines(f, s_vals, beta_vals, motion=None, mu_material=None,
-                    step_factor=0.5, interp="cubic"):
+def integrate_lines(f, s_vals, beta_vals, motion=None, mu_material=None):
     """Line integrals of mu(t, z) f(psi_t(z)) over z . omega(beta) = s.
 
     ``s_vals``/``beta_vals`` are flat arrays of equal length.  The motion and
     material weight are evaluated at t = beta; with neither supplied this is
-    the plain straight-line integral of f (used for fan-ray synthesis).
+    the plain straight-line integral of f (used for fan-ray synthesis).  The
+    trapezoid rule runs at half-pixel steps along each line, and f is read
+    through its cubic spline.
     """
-    return _integrate_lines_t(f, s_vals, beta_vals, beta_vals, motion, mu_material,
-                              step_factor, interp)
-
-
-def _integrate_lines_t(f, s_vals, beta_vals, t_vals, motion, mu_material,
-                       step_factor=0.5, interp="cubic"):
     s_vals = np.asarray(s_vals, dtype=float)
     beta_vals = np.asarray(beta_vals, dtype=float)
-    t_vals = np.asarray(t_vals, dtype=float)
     n = len(s_vals)
-    h = step_factor * f.spacing
+    h = _STEP_FACTOR * f.spacing
     r = f.support_radius + 4 * f.spacing
     n_tau = int(math.ceil(2 * r / h)) + 1
     tau = np.linspace(-r, r, n_tau)
-    order = _SPLINE_ORDER[interp]
-    vals = np.asarray(f.values, dtype=float)
-    if order > 1:
-        vals = ndimage.spline_filter(vals, order=order, mode="constant")
+    order = _SPLINE_ORDER["cubic"]
+    vals = ndimage.spline_filter(np.asarray(f.values, dtype=float), order=order,
+                                 mode="constant")
 
     out = np.zeros(n)
     chunk = max(1, int(4e6 // n_tau))
@@ -796,12 +788,11 @@ def _integrate_lines_t(f, s_vals, beta_vals, t_vals, motion, mu_material,
         k1 = min(k0 + chunk, n)
         b = beta_vals[k0:k1, None]
         s = s_vals[k0:k1, None]
-        t = t_vals[k0:k1, None]
         zx = s * np.cos(b) - tau[None, :] * np.sin(b)
         zy = s * np.sin(b) + tau[None, :] * np.cos(b)
         z = np.stack([zx, zy], axis=-1)
         if motion is not None:
-            xpts = motion.forward(t, z)
+            xpts = motion.forward(b, z)
         else:
             xpts = z
         coords = np.stack(
@@ -813,15 +804,15 @@ def _integrate_lines_t(f, s_vals, beta_vals, t_vals, motion, mu_material,
             cval=0.0, prefilter=False,
         ).reshape(zx.shape)
         if mu_material is not None:
-            samples = samples * np.asarray(mu_material(t, z), dtype=float)
+            samples = samples * np.asarray(mu_material(b, z), dtype=float)
         block = samples.sum(axis=1) - 0.5 * (samples[:, 0] + samples[:, -1])
         out[k0:k1] = block * dtau
     return out
 
 
-def forward_lagrangian(motion, mu_material, f, sino_spec, step_factor=0.5, interp="cubic"):
+def forward_lagrangian(motion, mu_material, f, sino_spec):
     """Dynamic forward in material coordinates: integrate mu(t, z) f(psi_t(z))
-    over the straight lines z . omega(t) = s."""
+    over the straight lines z . omega(t) = s (see ``integrate_lines``)."""
     t_lo, t_hi = sino_spec.t_range if sino_spec.t_range is not None else (0.0, TWO_PI)
     t_grid = t_lo + (t_hi - t_lo) * np.arange(sino_spec.nt) / sino_spec.nt
     if sino_spec.s_range is not None:
@@ -833,7 +824,6 @@ def forward_lagrangian(motion, mu_material, f, sino_spec, step_factor=0.5, inter
     S, T = np.meshgrid(s_grid, t_grid, indexing="ij")
     vals = integrate_lines(
         f, S.ravel(), T.ravel(), motion=motion, mu_material=mu_material,
-        step_factor=step_factor, interp=interp,
     ).reshape(len(s_grid), len(t_grid))
     return Sinogram(s_grid, t_grid, vals)
 

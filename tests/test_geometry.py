@@ -73,6 +73,33 @@ def test_analytic_derivatives_match_fd(builder, rng):
         assert np.max(np.abs(a - f)) / scale < 1e-6
 
 
+@pytest.mark.parametrize("builder", [
+    lambda: make_static_phase(),
+    lambda: make_dynamic_phase(RotationMotion(0.3)),
+    lambda: make_dynamic_phase(AffineMotion(0.05)),
+    lambda: make_dynamic_phase(BreathingMotion(0.05)),
+    lambda: make_fanbeam_phase(3.0),
+    lambda: make_dynamic_phase(RotationMotion(-1.0), use_analytic=False),
+], ids=["static", "rotation", "affine", "breathing", "fan", "sync_fd"])
+def test_eval_grad_matches_accessors(builder, rng):
+    """phi and grad phi from the one evaluator equal the value-only and
+    gradient-only accessors bit for bit: per point, per point and time as
+    the tracer calls it, and (pixels, 1, 2) points against (nt,) times as
+    the adjoint matrix calls it."""
+    pf = builder()
+    t, x = support_samples(rng, 40, radius=0.9, t_range=pf.t_range)
+    for tt, xx in ((t[0], x[0]), (t[0], x), (t, x), (t[:7], x[:, None, :])):
+        phi, g = pf._eval_grad_raw(tt, xx)
+        assert g.shape == np.shape(phi) + (2,)
+        np.testing.assert_array_equal(phi, pf._eval_raw(tt, xx))
+        np.testing.assert_array_equal(g, pf._grad_x_raw(tt, xx))
+        np.testing.assert_array_equal(phi, pf.eval(tt, xx))
+        np.testing.assert_array_equal(g, pf.grad_x(tt, xx))
+    phi, g = pf._eval_grad_at(t, pf._time_factor(t), x)
+    np.testing.assert_array_equal(phi, pf._eval_raw(t, x))
+    np.testing.assert_array_equal(g, pf._grad_x_raw(t, x))
+
+
 def test_grad_never_vanishes(rng):
     for pf in (make_static_phase(), make_dynamic_phase(BreathingMotion(0.1)),
                make_fanbeam_phase(3.0)):

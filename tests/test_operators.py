@@ -80,6 +80,23 @@ def test_disk_chord_oracle_256(static_pf):
     assert rel < 0.01
 
 
+@pytest.mark.parametrize("ns", [135, 269])
+def test_disk_chord_oracle_fine_s(static_pf, ns):
+    """The chord-length oracle with the s axis sampled finer than a pixel:
+    ds about h/2 and h/4 at 64^2."""
+    img = make_image_grid(64)
+    disk = render_phantom([EllipseSpec(center=(0, 0), semi_axes=(0.6, 0.6), density=1.0)],
+                          64)
+    tr = LevelSetTransform(static_pf, UnitWeight(), img, SinoSpec(ns=ns, nt=30))
+    g = tr.forward(disk)
+    S = g.s_grid
+    exact = np.where(np.abs(S) < 0.6, 2 * np.sqrt(np.maximum(0.36 - S**2, 0.0)), 0.0)
+    m = np.abs(S) < 0.6
+    err = g.values[m] - exact[m, None]
+    rel = math.sqrt(np.sum(err**2) / (np.sum(exact[m] ** 2) * g.values.shape[1]))
+    assert rel < 0.01
+
+
 def test_forward_zero_and_linearity(small_transform):
     tr = small_transform
     img = make_image_grid(48)
@@ -483,15 +500,28 @@ def test_chunk_size_does_not_change_outputs(static_pf, monkeypatch):
         np.testing.assert_array_equal(got[1], expected[1])
 
 
-def test_stable_order_matches_stable_argsort():
-    """The radix order, over one 16-bit digit and over several."""
-    from curvetomo.operators import _stable_order
+def test_breathing_adjoint_inverts_motion_once_per_block(monkeypatch):
+    """Building K evaluates phi and grad phi of a pixel block in one call,
+    which inverts the breathing motion once."""
+    from curvetomo import operators
 
-    rng = np.random.default_rng(55)
-    for n_keys in (1, 300, 2**16, 2**16 + 1, 10**7, 2**40):
-        keys = rng.integers(0, n_keys, 5000)
-        np.testing.assert_array_equal(_stable_order(keys, n_keys),
-                                      np.argsort(keys, kind="stable"))
+    motion = BreathingMotion(0.05)
+    nt = 48
+    tr = LevelSetTransform(make_dynamic_phase(motion), BumpWeight(amplitude=0.3),
+                           make_image_grid(32), SinoSpec(ns=35, nt=nt))
+    # 100 pixels per block: 11 blocks over the 32^2 grid
+    monkeypatch.setattr(operators, "_BLOCK_BYTES", 80 * 4 * nt * 100)
+    calls = []
+    solve = motion._solve_radius
+
+    def counted(t, rho):
+        calls.append(math.prod(np.broadcast_shapes(np.shape(t), np.shape(rho))))
+        return solve(t, rho)
+
+    monkeypatch.setattr(motion, "_solve_radius", counted)
+    tr._build_adjoint_tables()
+    assert len(calls) == 11
+    assert sum(calls) == 32 * 32 * nt
 
 
 @pytest.mark.parametrize("case", ["static", "fan", "linear"])
