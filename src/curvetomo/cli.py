@@ -28,7 +28,7 @@ from .errors import (
     NumericBudgetError,
     OutOfRangeError,
 )
-from .geometry import TWO_PI, fd_derivatives
+from .geometry import TWO_PI, BreathingMotion, RotationMotion, fd_derivatives
 from .io_cli import (
     GeometryConfig,
     build_geometry,
@@ -289,8 +289,6 @@ def cmd_reconstruct(args, config, run):
 
 
 def cmd_stability(args, config, run):
-    from .geometry import BreathingMotion, RotationMotion
-
     amplitudes = [float(a) for a in args.amplitudes.split(",")]
     if args.family == "breathing":
         family = lambda a: BreathingMotion(a)  # noqa: E731

@@ -89,24 +89,23 @@ DEFAULT_DOMAIN = Rect(-1.6, 1.6, -1.6, 1.6)
 
 
 class MotionModel:
-    """Time-dependent diffeomorphism of the plane.
+    """Time-dependent diffeomorphism psi_t of the plane.
 
-    Subclasses provide ``forward``, ``inverse_jacobian`` (the inverse map
-    and its 2x2 spatial Jacobian, ``(psi_t^{-1}(x), D psi_t^{-1}(x))``, from
-    one inversion; ``inverse`` derives from it), ``jac_det`` (spatial
-    Jacobian determinant of the forward map) and ``dt_inverse`` (time
-    derivative of the inverse map).
-
-    ``compactly_supported`` marks motions that are the identity outside the
-    disk of radius ``identity_radius``; rigid rotations are deliberately not
-    (they are the textbook degenerate case, a global isometry).
+    Subclasses provide three closed forms: ``forward`` (psi_t(z)),
+    ``dt_forward`` (d/dt psi_t(z) at fixed z, with no inversion) and
+    ``inverse_jacobian`` (the inverse map and its 2x2 spatial Jacobian,
+    ``(psi_t^{-1}(x), D psi_t^{-1}(x))``, from one inversion).  ``inverse``
+    derives from the last.  The rest follows from one inversion by the chain
+    rule: the time derivative of the inverse is
+    -D psi_t^{-1}(x) dt_forward(t, psi_t^{-1}(x)) (see ``DynamicPhase``), and
+    the volume factor is det D psi_t^{-1}(x) (see
+    ``operators.lagrangian_to_levelset_weight``).
     """
 
-    amplitude: float = 0.0
-    compactly_supported: bool = False
-    identity_radius: float = math.inf
-
     def forward(self, t, z):
+        raise NotImplementedError
+
+    def dt_forward(self, t, z):
         raise NotImplementedError
 
     def inverse_jacobian(self, t, x):
@@ -115,16 +114,9 @@ class MotionModel:
     def inverse(self, t, x):
         return self.inverse_jacobian(t, x)[0]
 
-    def jac_det(self, t, z):
-        raise NotImplementedError
-
-    def dt_inverse(self, t, x):
-        raise NotImplementedError
-
 
 class IdentityMotion(MotionModel):
     name = "identity"
-    compactly_supported = True
 
     @staticmethod
     def _shape(t, z):
@@ -135,15 +127,12 @@ class IdentityMotion(MotionModel):
         z = np.asarray(z, dtype=float)
         return np.broadcast_to(z, self._shape(t, z) + (2,)).copy()
 
+    def dt_forward(self, t, z):
+        return np.zeros(self._shape(t, z) + (2,))
+
     def inverse_jacobian(self, t, x):
         return (self.forward(t, x),
                 np.broadcast_to(np.eye(2), self._shape(t, x) + (2, 2)).copy())
-
-    def jac_det(self, t, z):
-        return np.ones(self._shape(t, z))
-
-    def dt_inverse(self, t, x):
-        return np.zeros(self._shape(t, x) + (2,))
 
 
 def _rot_apply(theta, v):
@@ -163,10 +152,14 @@ class RotationMotion(MotionModel):
 
     def __init__(self, rate):
         self.rate = float(rate)
-        self.amplitude = abs(self.rate)
 
     def forward(self, t, z):
         return _rot_apply(self.rate * np.asarray(t, dtype=float), np.asarray(z, dtype=float))
+
+    def dt_forward(self, t, z):
+        # rate times the quarter turn of psi_t(z)
+        x = self.forward(t, z)
+        return self.rate * np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
     def inverse_jacobian(self, t, x):
         theta = -self.rate * np.asarray(t, dtype=float)
@@ -180,15 +173,6 @@ class RotationMotion(MotionModel):
         jac[..., 1, 0] = s
         jac[..., 1, 1] = c
         return z, jac
-
-    def jac_det(self, t, z):
-        z = np.asarray(z, dtype=float)
-        return np.ones(np.broadcast_shapes(z[..., 0].shape, np.shape(t)))
-
-    def dt_inverse(self, t, x):
-        theta = -self.rate * np.asarray(t, dtype=float)
-        # d/dt R_theta(x) with theta = -rate*t equals -rate * R_{theta + pi/2}(x)
-        return -self.rate * _rot_apply(theta + 0.5 * math.pi, np.asarray(x, dtype=float))
 
 
 _AFFINE_M0 = np.array([[0.40, -0.15], [0.25, 0.30]])
@@ -233,25 +217,18 @@ class AffineMotion(MotionModel):
         A = self._A(t)
         return np.einsum("...ij,...j->...i", A, z) + self._b(t)
 
+    def dt_forward(self, t, z):
+        t = np.asarray(t, dtype=float)
+        z = np.asarray(z, dtype=float)
+        Aprime = (self.amplitude * np.cos(t))[..., None, None] * self.M0
+        bprime = (self.amplitude * np.sin(t))[..., None] * self.v0
+        return np.einsum("...ij,...j->...i", Aprime, z) + bprime
+
     def inverse_jacobian(self, t, x):
         x = np.asarray(x, dtype=float)
         inv = self._A_inv(t)
         z = np.einsum("...ij,...j->...i", inv, x - self._b(t))
         return z, np.broadcast_to(inv, z.shape + (2,))
-
-    def jac_det(self, t, z):
-        A = self._A(t)
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(det, np.broadcast_shapes(det.shape, z[..., 0].shape)).copy()
-
-    def dt_inverse(self, t, x):
-        t = np.asarray(t, dtype=float)
-        z = self.inverse(t, x)
-        Aprime = (self.amplitude * np.cos(t))[..., None, None] * self.M0
-        bprime = (self.amplitude * np.sin(t))[..., None] * self.v0
-        rhs = np.einsum("...ij,...j->...i", Aprime, z) + bprime
-        return -np.einsum("...ij,...j->...i", self._A_inv(t), rhs)
 
 
 class BreathingMotion(MotionModel):
@@ -264,13 +241,11 @@ class BreathingMotion(MotionModel):
     """
 
     name = "breathing"
-    compactly_supported = True
 
     def __init__(self, amplitude, r_flat=0.5, r_support=1.15):
         self.amplitude = float(amplitude)
         self.r_flat = float(r_flat)
         self.r_support = float(r_support)
-        self.identity_radius = self.r_support
         if not 0.0 < self.r_flat < self.r_support:
             raise ValueError("need 0 < r_flat < r_support")
         # monotonicity of the radial map: |a| * max|eta + r eta'| < 1
@@ -299,6 +274,11 @@ class BreathingMotion(MotionModel):
         z = np.asarray(z, dtype=float)
         r = np.hypot(z[..., 0], z[..., 1])
         return self._scale(np.asarray(t, dtype=float), r)[..., None] * z
+
+    def dt_forward(self, t, z):
+        z = np.asarray(z, dtype=float)
+        r = np.hypot(z[..., 0], z[..., 1])
+        return (self.amplitude * np.cos(np.asarray(t, dtype=float)) * self._eta(r))[..., None] * z
 
     def _solve_radius(self, t, rho):
         """Invert r * scale(t, r) = rho by vectorized Newton iteration.
@@ -348,26 +328,6 @@ class BreathingMotion(MotionModel):
         jac[..., 1, 0] = -coeff * z[..., 1] * z[..., 0]
         jac[..., 1, 1] = 1.0 / c - coeff * z[..., 1] * z[..., 1]
         return inv, jac
-
-    def jac_det(self, t, z):
-        z = np.asarray(z, dtype=float)
-        t = np.asarray(t, dtype=float)
-        r = np.hypot(z[..., 0], z[..., 1])
-        c = self._scale(t, r)
-        cp = self._scale_dr(t, r)
-        # polar factorization: radius map derivative times (rho / r)
-        return (c + r * cp) * c
-
-    def dt_inverse(self, t, x):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = np.hypot(x[..., 0], x[..., 1])
-        r = self._solve_radius(t, rho)
-        eta = self._eta(r)
-        denom = self._scale(t, r) + r * self._scale_dr(t, r)
-        drdt = -(self.amplitude * np.cos(t) * eta * r) / denom
-        ratio = np.where(rho > 0.0, drdt / np.where(rho > 0.0, rho, 1.0), 0.0)
-        return ratio[..., None] * x
 
 
 _MOTION_REGISTRY = {
@@ -443,6 +403,15 @@ class BumpWeight(Weight):
 def _dot(a, b):
     """Row-wise dot product of (..., 2) arrays."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _transpose_apply(jac, w):
+    """jac^T w for (..., 2, 2) matrices and (..., 2) vectors, column by
+    column; for jac = D psi_t^{-1}(x) and w = omega(t) it is grad_x phi."""
+    out = np.empty(np.broadcast_shapes(jac.shape[:-2], w.shape[:-1]) + (2,))
+    out[..., 0] = jac[..., 0, 0] * w[..., 0] + jac[..., 1, 0] * w[..., 1]
+    out[..., 1] = jac[..., 0, 1] * w[..., 0] + jac[..., 1, 1] * w[..., 1]
+    return out
 
 
 def _central_grad(value, h, x):
@@ -578,10 +547,15 @@ class DynamicPhase(PhaseFunction):
     """phi(t, x) = psi_t^{-1}(x) . omega(t) for a motion model psi_t.
 
     phi and grad_x phi = (D psi_t^{-1})^T omega(t) come from one call of
-    the motion's ``inverse_jacobian``; the time derivative uses the motion's
-    ``dt_inverse``, and the mixed derivative is a central difference in t of
-    the spatial gradient.  With ``use_analytic=False`` every derivative is a
-    central difference of the phase itself.
+    the motion's ``inverse_jacobian``.  So does the time derivative: by the
+    chain rule d/dt psi_t^{-1}(x) = -D psi_t^{-1}(x) v with v the motion's
+    ``dt_forward`` at z = psi_t^{-1}(x), hence
+
+        dt phi = z . omega_perp(t) - grad_x phi . v.
+
+    The mixed derivative is a central difference in t of the spatial
+    gradient.  With ``use_analytic=False`` every derivative is a central
+    difference of the phase itself.
     """
 
     name = "dynamic"
@@ -606,10 +580,7 @@ class DynamicPhase(PhaseFunction):
     def _eval_grad_at(self, t, w, x):
         z, jac = self.motion.inverse_jacobian(t, x)
         if self._analytic:
-            # (D psi^-1)^T omega, column by column
-            g = np.empty(jac.shape[:-1])
-            g[..., 0] = jac[..., 0, 0] * w[..., 0] + jac[..., 1, 0] * w[..., 1]
-            g[..., 1] = jac[..., 0, 1] * w[..., 0] + jac[..., 1, 1] * w[..., 1]
+            g = _transpose_apply(jac, w)
         else:
             g = _central_grad(lambda y: _dot(self.motion.inverse(t, y), w), self.fd_step, x)
         return _dot(z, w), g
@@ -621,16 +592,9 @@ class DynamicPhase(PhaseFunction):
         if not self._analytic:
             return super()._dt_raw(t, x)
         t = np.asarray(t, dtype=float)
-        z = self.motion.inverse(t, x)
-        dz = self.motion.dt_inverse(t, x)
-        w = omega(t)
-        wp = omega_perp(t)
-        return (
-            dz[..., 0] * w[..., 0]
-            + dz[..., 1] * w[..., 1]
-            + z[..., 0] * wp[..., 0]
-            + z[..., 1] * wp[..., 1]
-        )
+        z, jac = self.motion.inverse_jacobian(t, x)
+        g = _transpose_apply(jac, omega(t))
+        return _dot(z, omega_perp(t)) - _dot(g, self.motion.dt_forward(t, z))
 
 
 class FanBeamPhase(PhaseFunction):
@@ -766,10 +730,10 @@ def fd_derivatives(pf, t, x):
     inner = pf.domain.shrunk(h_fd)
     if not np.all(inner.contains(x)):
         raise DomainError("fd_derivatives needs interior points (one FD step of margin)")
-    s = pf.eval(t, x)
-    g = np.asarray(pf.grad_x(t, x), dtype=float)
-    dt_phi = pf.dt(t, x)
-    m = np.asarray(pf.dt_grad_x(t, x), dtype=float)
+    pf._check(t, x)
+    s, g = pf._eval_grad_raw(t, x)
+    dt_phi = pf._dt_raw(t, x)
+    m = np.asarray(pf._dt_grad_x_raw(t, x), dtype=float)
     J = np.hypot(g[..., 0], g[..., 1])
     nu = g / J[..., None]
     h_det = g[..., 0] * m[..., 1] - g[..., 1] * m[..., 0]
@@ -810,11 +774,12 @@ def homogeneous_extension(pf, x, theta):
     if tw is None:
         raise BranchError("arg theta falls outside a branch-safe neighborhood of t_range")
     x = np.asarray(x, dtype=float)
-    value = norm * pf.eval(tw, x)
+    pf._check(tw, x)
+    phi, g = pf._eval_grad_raw(tw, x)
+    value = norm * phi
     c = theta[0] / norm
     s = theta[1] / norm
-    g = pf.grad_x(tw, x)
-    m = pf.dt_grad_x(tw, x)
+    m = pf._dt_grad_x_raw(tw, x)
     row1 = c * g - s * m
     row2 = s * g + c * m
     hessian_det = row1[..., 0] * row2[..., 1] - row1[..., 1] * row2[..., 0]

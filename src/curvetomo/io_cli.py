@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import ConfigError, OutOfRangeError
 from .geometry import (
@@ -376,8 +377,6 @@ def fanbeam_convert(g_fan, R, ns, n_beta, s_range=None, beta_range=None,
         tt = np.mod(tt, TWO_PI)
     ci = tt / dt
     cj = (GG - gamma[0]) / dg
-    from scipy import ndimage
-
     vals = g_fan.values.T  # (nt, ngamma) for (t, gamma) coordinates
     if weight_jacobian:
         vals = vals * (R * np.cos(gamma))[None, :]

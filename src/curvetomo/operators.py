@@ -39,9 +39,11 @@ from .errors import CoverageError, NumericBudgetError
 from .geometry import (
     TWO_PI,
     curve_tolerance,
+    omega,
     project_to_level,
     smoothstep_c2,
     _trace_batch,
+    _transpose_apply,
 )
 from .microlocal import solve_time_for_direction
 
@@ -153,6 +155,18 @@ class SinoSpec:
     s_range: tuple | None = None
 
 
+def _phase_range(pf, t, pts):
+    """Min and max of phi over every (time, point) pair on the phase's
+    branch, from one batched evaluation."""
+    tt = np.repeat(np.asarray(t, dtype=float), len(pts))
+    xx = np.tile(pts, (len(t), 1))
+    on = pf.branch_mask(tt, xx)
+    if not on.any():
+        raise ValueError("phase has no branch-valid samples over the support")
+    vals = pf._eval_raw(tt[on], xx[on])
+    return float(np.min(vals)), float(np.max(vals))
+
+
 def _auto_s_range(pf, t_grid, support_radius):
     """Range of phi over the support disk across acquisition times, padded."""
     rr = np.linspace(0.0, support_radius, 12)
@@ -160,17 +174,7 @@ def _auto_s_range(pf, t_grid, support_radius):
     pts = np.concatenate(
         [np.stack([r * np.cos(aa), r * np.sin(aa)], axis=-1) for r in rr], axis=0
     )
-    lo = math.inf
-    hi = -math.inf
-    for t in t_grid[:: max(1, len(t_grid) // 64)]:
-        mask = pf.branch_mask(t, pts)
-        if not mask.any():
-            continue
-        vals = pf._eval_raw(t, pts[mask])
-        lo = min(lo, float(np.min(vals)))
-        hi = max(hi, float(np.max(vals)))
-    if not math.isfinite(lo):
-        raise ValueError("phase has no branch-valid samples over the support")
+    lo, hi = _phase_range(pf, t_grid[:: max(1, len(t_grid) // 64)], pts)
     mid = 0.5 * (lo + hi)
     half = 0.525 * (hi - lo)  # 1.05x the sampled range
     return (mid - half, mid + half)
@@ -277,20 +281,15 @@ def build_default_atlas(pf, support_radius, n_charts, n_dirs=24, coverage_min=0.
         radius = 1.45 * spacing_c
         charts = []
         boundary = np.linspace(0.0, TWO_PI, 24, endpoint=False)
+        t_probe = np.linspace(lo, hi, 32, endpoint=False)
         for cx in centers:
             for cy in centers:
                 ring = np.stack(
                     [cx + radius * np.cos(boundary), cy + radius * np.sin(boundary)], axis=-1
                 )
-                t_probe = np.linspace(lo, hi, 32, endpoint=False)
-                vals = []
-                for t in t_probe:
-                    m = pf.branch_mask(t, ring)
-                    if m.any():
-                        vals.append(pf._eval_raw(t, ring[m]))
-                vals = np.concatenate(vals)
-                s_center = 0.5 * (float(np.max(vals)) + float(np.min(vals)))
-                s_radius = 0.75 * (float(np.max(vals)) - float(np.min(vals))) + 1e-9
+                s_lo, s_hi = _phase_range(pf, t_probe, ring)
+                s_center = 0.5 * (s_hi + s_lo)
+                s_radius = 0.75 * (s_hi - s_lo) + 1e-9
                 charts.append(
                     Chart(
                         x_center=(float(cx), float(cy)),
@@ -828,26 +827,28 @@ def forward_lagrangian(motion, mu_material, f, sino_spec):
     return Sinogram(s_grid, t_grid, vals)
 
 
-def lagrangian_to_levelset_weight(motion, mu_material, pf):
+def lagrangian_to_levelset_weight(motion, mu_material):
     """The level-set weight matching a material-coordinate forward.
 
     Pushing Eq-(1.1)-style data through z = psi_t^{-1}(x) and converting the
-    delta integral to an arc integral over {phi = s} yields
+    delta integral to an arc integral over {phi = s}, phi = psi_t^{-1} . omega,
+    yields
 
         mu_hat(t, x) = |det D psi_t^{-1}(x)| * mu(t, psi_t^{-1}(x)) / |grad phi|
 
-    where |det D psi_t^{-1}(x)| = 1 / jac_det(t, psi_t^{-1}(x)).
+    with grad phi = (D psi_t^{-1}(x))^T omega(t): z, the determinant and the
+    gradient all come from one ``inverse_jacobian`` call.
     """
 
     class _PushforwardWeight:
         name = "pushforward"
 
         def eval(self, t, x):
-            z = motion.inverse(t, x)
-            jac = np.asarray(motion.jac_det(t, z), dtype=float)
-            g = pf._grad_x_raw(t, x)
+            z, jac = motion.inverse_jacobian(t, x)
+            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+            g = _transpose_apply(jac, omega(t))
             J = np.hypot(g[..., 0], g[..., 1])
-            return np.asarray(mu_material(t, z), dtype=float) / (jac * J)
+            return np.abs(det) * np.asarray(mu_material(t, z), dtype=float) / J
 
         __call__ = eval
 

@@ -19,8 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DivergenceError
-from .geometry import BreathingMotion, make_dynamic_phase, smoothstep_c2
+from .errors import DivergenceError, DomainError
+from .geometry import (
+    BreathingMotion,
+    BumpWeight,
+    UnitWeight,
+    make_dynamic_phase,
+    smoothstep_c2,
+)
 from .operators import (
     CutoffAtlas,
     LevelSetTransform,
@@ -245,7 +251,7 @@ def stability_probe(motion_family, amplitudes, n_samples, nx=64, nt=180,
     ratios = {}
     for a in amplitudes:
         pf = make_dynamic_phase(motion_family(a))
-        tr = LevelSetTransform(pf, _unit_weight(), fields[0], spec)
+        tr = LevelSetTransform(pf, UnitWeight(), fields[0], spec)
         op = NormalOperator(tr, CutoffAtlas.trivial())
         vals = []
         for f in fields:
@@ -269,12 +275,6 @@ def stability_probe(motion_family, amplitudes, n_samples, nx=64, nt=180,
     return report
 
 
-def _unit_weight():
-    from .geometry import UnitWeight
-
-    return UnitWeight()
-
-
 def perturbation_sweep(deltas, probe_f=None, nx=64, nt=180, base_amplitude=0.0,
                        weight_bump=True, seed=ENSEMBLE_SEED):
     """Operator sensitivity under delta-scaled smooth perturbations.
@@ -285,8 +285,6 @@ def perturbation_sweep(deltas, probe_f=None, nx=64, nt=180, base_amplitude=0.0,
     ||(N - N~) f||_H1 / ||f||_L2 per delta and the log-log slope over the
     positive deltas.
     """
-    from .geometry import BumpWeight, UnitWeight
-
     if probe_f is None:
         probe_f = band_limited_ensemble(nx, 1, seed=seed)[0]
     spec = SinoSpec(ns=int(nx * 1.05) + 1, nt=nt,
@@ -341,8 +339,6 @@ def edge_response(recon, truth, cov, window=5, step_px=1.0):
     lo = np.array([truth.origin[0], truth.origin[1]])
     hi = lo + truth.spacing * (np.array([truth.nx, truth.ny]) - 1)
     if np.any(pts - h < lo) or np.any(pts + h > hi):
-        from .errors import DomainError
-
         raise DomainError("edge-response window exits the grid")
     g_rec = np.abs(directional(recon, pts)).mean()
     g_tru = np.abs(directional(truth, pts)).mean()

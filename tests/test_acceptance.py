@@ -241,7 +241,7 @@ def test_criterion_5_forward_form_equivalence(image128):
     truth = render_phantom(recon_phantom(), NX)
     g_lag = forward_lagrangian(motion, mu, truth, SinoSpec(ns=int(NX * 1.05) + 1, nt=NT))
     pf = make_dynamic_phase(motion)
-    mu_hat = lagrangian_to_levelset_weight(motion, mu, pf)
+    mu_hat = lagrangian_to_levelset_weight(motion, mu)
     spec = SinoSpec(ns=g_lag.ns, nt=g_lag.nt,
                     s_range=(float(g_lag.s_grid[0]), float(g_lag.s_grid[-1])))
     tr = LevelSetTransform(pf, mu_hat, truth, spec)

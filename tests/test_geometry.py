@@ -21,7 +21,7 @@ from curvetomo import (
     make_static_phase,
     trace_level_curve,
 )
-from curvetomo.geometry import PhaseFunction, Rect, TWO_PI
+from curvetomo.geometry import _MOTION_REGISTRY, PhaseFunction, Rect, TWO_PI, make_motion
 
 from conftest import atlas_probe_pairs, support_samples
 
@@ -159,17 +159,52 @@ def test_motion_roundtrip_bulk(rng):
         x = motion.forward(t, z)
         assert np.max(np.abs(motion.inverse(t, x) - z)) < 1e-8
         assert np.max(np.abs(motion.forward(t, motion.inverse(t, z)) - z)) < 1e-8
-        assert np.min(motion.jac_det(t, z)) > 0.0
+        assert np.min(np.linalg.det(motion.inverse_jacobian(t, z)[1])) > 0.0
 
 
 def test_breathing_identity_outside_support(rng):
     motion = BreathingMotion(0.12, r_support=1.15)
-    assert motion.compactly_supported
     a = rng.uniform(0, TWO_PI, 200)
-    r = rng.uniform(motion.identity_radius, 1.6, 200)
+    r = rng.uniform(motion.r_support, 1.6, 200)
     z = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
     t = rng.uniform(0, TWO_PI, 200)
     np.testing.assert_allclose(motion.forward(t, z), z, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(_MOTION_REGISTRY))
+def test_motion_time_derivatives_match_fd(name, rng):
+    """dt_forward is d/dt forward, and the chain rule on it gives d/dt of
+    the inverse: -D psi^-1(x) dt_forward(t, psi^-1(x)), both against central
+    differences in t.  Covers every registered motion."""
+    motion = make_motion(name)
+    t, x = support_samples(rng, 200, radius=1.2)
+    h = 1e-5
+    fd = (motion.forward(t + h, x) - motion.forward(t - h, x)) / (2 * h)
+    np.testing.assert_allclose(motion.dt_forward(t, x), fd, rtol=0, atol=1e-9)
+    z, jac = motion.inverse_jacobian(t, x)
+    dz = -np.einsum("...ij,...j->...i", jac, motion.dt_forward(t, z))
+    fd = (motion.inverse(t + h, x) - motion.inverse(t - h, x)) / (2 * h)
+    np.testing.assert_allclose(dz, fd, rtol=0, atol=1e-9)
+
+
+def test_breathing_inverts_once_per_call(rng, monkeypatch):
+    """The pushforward weight and dt phi invert the breathing motion once
+    per call, and a frame four times: phi with grad phi, dt phi, and the two
+    gradients of the mixed-derivative difference."""
+    from curvetomo import BumpWeight, lagrangian_to_levelset_weight
+
+    motion = BreathingMotion(0.05)
+    pf = make_dynamic_phase(motion)
+    weight = lagrangian_to_levelset_weight(motion, BumpWeight(amplitude=0.2))
+    t, x = support_samples(rng, 10)
+    calls = []
+    solve = motion._solve_radius
+    monkeypatch.setattr(motion, "_solve_radius", lambda t, rho: calls.append(1) or solve(t, rho))
+    for evaluate, expected in ((lambda: weight.eval(t, x), 1), (lambda: pf.dt(t, x), 1),
+                               (lambda: fd_derivatives(pf, t, x), 4)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == expected
 
 
 def test_breathing_amplitude_guard():

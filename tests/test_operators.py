@@ -148,7 +148,7 @@ def test_change_of_variables_equivalence():
                                     angle=0.5, density=0.6)], 64)
     g_lag = forward_lagrangian(motion, mu, f, SinoSpec(ns=69, nt=120))
     pf = make_dynamic_phase(motion)
-    mu_hat = lagrangian_to_levelset_weight(motion, mu, pf)
+    mu_hat = lagrangian_to_levelset_weight(motion, mu)
     spec = SinoSpec(ns=69, nt=120,
                     s_range=(float(g_lag.s_grid[0]), float(g_lag.s_grid[-1])))
     g_lvl = forward_levelset(pf, mu_hat, f, spec)
