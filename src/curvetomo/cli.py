@@ -151,6 +151,7 @@ def cmd_forward(args, config, run):
     g = tr.forward(img)
     n_nan = int(np.sum(~np.isfinite(g.values)))
     run.manifest["metrics"]["nan_samples"] = n_nan
+    run.manifest["metrics"]["workers"] = tr.workers
     run.write_grid("sinogram.grid", g)
     run.write_pgm("sinogram.pgm", g.values)
     return run.finish()
@@ -172,6 +173,7 @@ def cmd_adjoint_test(args, config, run):
         worst = max(worst, rel)
     run.manifest["metrics"]["adjoint_discrepancy"] = worst
     run.manifest["metrics"]["tolerance"] = args.tol
+    run.manifest["metrics"]["workers"] = tr.workers
     if worst > args.tol:
         raise NumericBudgetError(f"adjoint discrepancy {worst:.3e} exceeds {args.tol}")
     return run.finish()
@@ -255,6 +257,7 @@ def cmd_normal(args, config, run):
     n_charts = int(config.atlas.get("n_charts", 1))
     atlas = build_default_atlas(pf, img.support_radius, n_charts)
     Nf = NormalOperator(tr, atlas, symmetric=args.symmetric).apply(img)
+    run.manifest["metrics"]["workers"] = tr.workers
     run.write_grid("normal.grid", Nf)
     run.write_pgm("normal.pgm", Nf.values)
     return run.finish()
@@ -279,11 +282,13 @@ def cmd_reconstruct(args, config, run):
         "iterations": report.iterations,
         "final_residual": report.residual_history[-1] if report.residual_history else 0.0,
         "runtime_s": report.runtime,
+        "workers": tr.workers,
     })
     run.write_text("solve_report.json", json.dumps({
         "iterations": report.iterations,
         "residual_history": report.residual_history,
         "runtime": report.runtime,
+        "iteration_s": report.iteration_s,
     }, sort_keys=True, indent=1))
     return run.finish()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -45,6 +45,7 @@ class SolveReport:
     rel_error_vs_truth: float | None
     runtime: float
     converged: bool = False
+    iteration_s: list = field(default_factory=list)   # wall time of each iteration
 
 
 @dataclass
@@ -124,7 +125,9 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
     history.append(prev)
     converged = prev < tol
     it = 0
+    iteration_s = []
     while it < max_iter and not converged:
+        t_iter = time.perf_counter()
         denom = float(np.sum(Np * Np))
         if denom <= 0.0:
             break
@@ -147,13 +150,14 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
         it += 1
         if res < tol:
             converged = True
-            break
-        Nr = apply_N(r)
-        rho_new = float(np.sum(r * Nr))
-        beta = rho_new / rho if abs(rho) > 0 else 0.0
-        p = r + beta * p
-        Np = Nr + beta * Np
-        rho = rho_new
+        else:
+            Nr = apply_N(r)
+            rho_new = float(np.sum(r * Nr))
+            beta = rho_new / rho if abs(rho) > 0 else 0.0
+            p = r + beta * p
+            Np = Nr + beta * Np
+            rho = rho_new
+        iteration_s.append(time.perf_counter() - t_iter)
 
     rel_err = None
     if truth is not None and truth.norm() > 0:
@@ -162,7 +166,7 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
         )
     report = SolveReport(iterations=it, residual_history=history,
                          rel_error_vs_truth=rel_err, runtime=time.perf_counter() - t_start,
-                         converged=converged)
+                         converged=converged, iteration_s=iteration_s)
     return b_img.like(f), report
 
 
@@ -189,18 +193,22 @@ def landweber_solve(normal_op, g, max_iter=50, relaxation=None, truth=None, seed
         relaxation = 1.0 / max(lam, 1e-300)
     f = np.zeros_like(b)
     history = []
+    iteration_s = []
     b_norm = math.sqrt(np.sum(b * b))
     for _ in range(max_iter):
+        t_iter = time.perf_counter()
         r = b - apply_N(f)
         history.append(math.sqrt(np.sum(r * r)) / max(b_norm, 1e-300))
         f = f + relaxation * r
+        iteration_s.append(time.perf_counter() - t_iter)
     rel_err = None
     if truth is not None and truth.norm() > 0:
         rel_err = float(math.sqrt(np.sum((f - truth.values) ** 2))
                         / math.sqrt(np.sum(truth.values**2)))
     return b_img.like(f), SolveReport(iterations=max_iter, residual_history=history,
                                       rel_error_vs_truth=rel_err,
-                                      runtime=time.perf_counter() - t_start)
+                                      runtime=time.perf_counter() - t_start,
+                                      iteration_s=iteration_s)
 
 
 # ---------------------------------------------------------------------------

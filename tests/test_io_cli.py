@@ -271,6 +271,17 @@ def test_cli_phantom_forward_adjoint(small_config, tmp_path):
     manifest = json.loads((tmp_path / "run3" / "manifest.json").read_text())
     assert manifest["metrics"]["adjoint_discrepancy"] < 1e-3
     assert manifest["config_hash"]
+    for out in (out2, out3):
+        _assert_workers_recorded(out)
+
+
+def _assert_workers_recorded(out_dir):
+    """The manifest records how many row bands applied the operators."""
+    from curvetomo import operators
+
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        workers = json.load(fh)["metrics"]["workers"]
+    assert 1 <= workers <= operators._worker_count()
 
 
 def test_cli_bad_config_exit_2(tmp_path):
@@ -339,10 +350,14 @@ def test_cli_reconstruct_and_normal(small_config, tmp_path):
     assert rel < 0.5  # 8 iterations at 32^2: crude but clearly converging
     report = json.loads((tmp_path / "rec" / "solve_report.json").read_text())
     assert report["iterations"] <= 8
+    assert len(report["iteration_s"]) == report["iterations"]
+    assert all(t > 0.0 for t in report["iteration_s"])
     out4 = str(tmp_path / "nrm")
     assert main(["normal", "--config", small_config, "--out-dir", out4,
                  "--image", os.path.join(out1, "phantom.grid")]) == 0
     assert (tmp_path / "nrm" / "normal.grid").exists()
+    for out in (out2, out3, out4):
+        _assert_workers_recorded(out)
 
 
 def test_cli_stability_and_perturb(small_config, tmp_path):

@@ -278,6 +278,36 @@ def test_normal_symmetric_variant(small_transform):
     assert q >= -1e-6 * f1.norm() ** 2
 
 
+def test_normal_operator_matches_chartwise_formula(small_transform):
+    """apply and back_data equal, bit for bit, the chart-by-chart sums
+    sum_i w_i A*(chi_iY A(v_i f)) and sum_i w_i A*(chi_iY g), with
+    w_i = chi_iX, v_i = 1 (plain) or w_i = v_i = sqrt(chi_iX) (symmetric)."""
+    from curvetomo import Chart
+
+    tr = small_transform
+    img = make_image_grid(48)
+    f = smooth_field(img, 23)
+    g = smooth_sino(tr, 24)
+    atlas = CutoffAtlas(charts=[Chart(x_center=(cx, cy), x_radius=1.2, s_radius=0.9)
+                                for cx in (-0.5, 0.5) for cy in (-0.5, 0.5)])
+    pix = tr._pixel_points()
+    S, T = np.meshgrid(tr.s_grid, tr.t_grid, indexing="ij")
+    for symmetric in (False, True):
+        N = NormalOperator(tr, atlas, symmetric=symmetric)
+        applied, backed = np.zeros((img.nx, img.ny)), np.zeros((img.nx, img.ny))
+        Af = tr.forward(f)
+        for c in atlas.charts:
+            cx = atlas.chart_chi_x(c, pix).reshape(img.nx, img.ny)
+            cy = atlas.chart_chi_y(c, S, T)
+            w = np.sqrt(cx) if symmetric else cx
+            if symmetric:
+                Af = tr.forward(f.like(f.values * w))
+            applied += w * tr.adjoint(Af.like(Af.values * cy)).values
+            backed += w * tr.adjoint(g.like(g.values * cy)).values
+        assert N.apply(f).values.tobytes() == applied.tobytes()
+        assert N.back_data(g).values.tobytes() == backed.tobytes()
+
+
 def test_atlas_trivial_partition(static_pf):
     atlas = build_default_atlas(static_pf, 1.0, 1)
     pts = np.random.default_rng(0).uniform(-0.9, 0.9, (50, 2))
@@ -615,6 +645,201 @@ def test_plan_buffers_regrow_from_one_row(case, monkeypatch):
     assert len(expected["points"]) > 2**10
     monkeypatch.setattr(operators, "_Buffer", OneRow)
     _assert_bit_equal(_plan_arrays(case), expected)
+
+
+# ---------------------------------------------------------------------------
+# banded products
+# ---------------------------------------------------------------------------
+
+
+def _banded_outputs(case, workers, monkeypatch):
+    """Forward, adjoint, trivial and 2 x 2 atlas normal applies and a
+    5-iteration CG solve on a transform assembled with ``workers`` CPUs and
+    bands down to one nonzero."""
+    from curvetomo import Chart, cg_normal_solve
+    from curvetomo import operators
+
+    monkeypatch.setattr(operators, "_worker_count", lambda: workers)
+    monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
+    pf, mu, kw = _geometry(case)
+    img = make_image_grid(32)
+    tr = LevelSetTransform(pf, mu, img, SinoSpec(ns=35, nt=48), **kw)
+    f = smooth_field(img, 55, sigma=1.5)
+    g = tr.forward(f)
+    grid = CutoffAtlas(charts=[Chart(x_center=(cx, cy), x_radius=1.2)
+                               for cx in (-0.5, 0.5) for cy in (-0.5, 0.5)])
+    out = {"forward": g.values, "adjoint": tr.adjoint(smooth_sino(tr, 56)).values}
+    for name, atlas in (("trivial", CutoffAtlas.trivial()), ("grid", grid)):
+        for symmetric in (False, True):
+            op = NormalOperator(tr, atlas, symmetric=symmetric)
+            out[f"normal {name} {symmetric}"] = op.apply(f).values
+    data = g.like(np.nan_to_num(g.values))
+    op = NormalOperator(tr, CutoffAtlas.trivial(), symmetric=True)
+    rec, report = cg_normal_solve(op, data, max_iter=5, tol=0.0)
+    out["cg"] = rec.values
+    out["cg residuals"] = np.array(report.residual_history)
+    for bands in (tr.plan.bands, tr._adj_bands):
+        assert len(bands.bands) == (1 if workers == 1 else 4 * workers)
+        assert bands.workers == workers
+    assert tr.workers == workers
+    return out
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "linear"])
+def test_banded_products_bit_identical_for_any_worker_count(case, monkeypatch):
+    """One band, or 8 or 12 bands taken by two or three threads, give the
+    same bytes: every row is summed by the same kernel in the same order."""
+    expected = _banded_outputs(case, 1, monkeypatch)
+    for workers in (2, 3):
+        got = _banded_outputs(case, workers, monkeypatch)
+        for key, want in expected.items():
+            assert got[key].tobytes() == want.tobytes(), (workers, key)
+
+
+def test_bands_read_the_matrices_in_place(static_pf, monkeypatch):
+    """Every band reads the assembled matrix's own arrays, the bands tile
+    its rows with about equal nnz, and the product equals ``matrix @ v``."""
+    from curvetomo import operators
+
+    monkeypatch.setattr(operators, "_worker_count", lambda: 3)
+    monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
+    tr = LevelSetTransform(static_pf, UnitWeight(), make_image_grid(32),
+                           SinoSpec(ns=35, nt=48))
+    tr.adjoint(smooth_sino(tr, 57))
+    for matrix, bands in ((tr.plan.matrix, tr.plan.bands), (tr._adj_tables, tr._adj_bands)):
+        assert bands.matrix is matrix and len(bands.bands) == 12 and bands.workers == 3
+        starts = [r0 for r0, _, _ in bands.bands]
+        ends = [r1 for _, r1, _ in bands.bands]
+        assert starts == [0] + ends[:-1] and ends[-1] == matrix.shape[0]
+        assert all(r1 > r0 for r0, r1 in zip(starts, ends))
+        row_nnz = np.diff(matrix.indptr)
+        for r0, r1, indptr in bands.bands:
+            assert np.shares_memory(indptr, matrix.indptr)
+            assert np.array_equal(indptr, matrix.indptr[r0:r1 + 1])
+            assert abs(indptr[-1] - indptr[0] - matrix.nnz / 12) <= row_nnz.max()
+        v = np.random.default_rng(58).standard_normal(matrix.shape[1])
+        assert bands.matvec(v).tobytes() == (matrix @ v).tobytes()
+
+
+def test_bands_of_empty_and_short_matrices(monkeypatch):
+    """A matrix without nonzeros, one without rows and one with fewer rows
+    than workers all multiply like ``matrix @ v``; a vector of the wrong
+    length is refused before the kernel reads it."""
+    from scipy import sparse
+
+    from curvetomo import operators
+    from curvetomo.operators import _RowBands
+
+    monkeypatch.setattr(operators, "_worker_count", lambda: 3)
+    monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
+    rng = np.random.default_rng(59)
+    cases = [sparse.csr_matrix((5, 7)), sparse.csr_matrix((0, 7)),
+             sparse.random(2, 50, density=0.5, format="csr", random_state=rng)]
+    for matrix in cases:
+        bands = _RowBands(matrix)
+        assert len(bands.bands) <= matrix.shape[0]
+        assert bands.workers == min(3, len(bands.bands))
+        v = rng.standard_normal(matrix.shape[1])
+        got = bands.matvec(v)
+        assert got.shape == (matrix.shape[0],)
+        assert got.tobytes() == (matrix @ v).tobytes()
+        with pytest.raises(ValueError):
+            bands.matvec(v[1:])
+
+
+def test_bands_under_concurrent_callers(monkeypatch):
+    """Four threads, each multiplying through 28 bands taken by seven
+    threads, six of them from the pool, while thread switches are forced
+    often, all get the bytes of ``matrix @ v`` from one lazily created
+    pool."""
+    import sys
+    import threading
+
+    from scipy import sparse
+
+    from curvetomo import operators
+    from curvetomo.operators import _RowBands
+
+    monkeypatch.setattr(operators, "_worker_count", lambda: 7)
+    monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
+    monkeypatch.setattr(operators, "_pool", None)
+    rng = np.random.default_rng(61)
+    matrix = sparse.random(700, 300, density=0.1, format="csr", random_state=rng)
+    bands = _RowBands(matrix)
+    assert len(bands.bands) == 28 and bands.workers == 7
+    vectors = rng.standard_normal((4, 300))
+    expected = [(matrix @ v).tobytes() for v in vectors]
+    wrong, pools = [], set()
+
+    def caller(i):
+        for _ in range(50):
+            if bands.matvec(vectors[i]).tobytes() != expected[i]:
+                wrong.append(i)
+            pools.add(id(operators._pool))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if operators._pool is not None:
+            operators._pool.shutdown(wait=False, cancel_futures=True)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong and len(pools) == 1
+
+
+def test_product_does_not_wait_for_threads_that_never_start(monkeypatch):
+    """The calling thread takes every band no other thread has taken, so a
+    product completes, with the bits of ``matrix @ v``, even when the pool's
+    threads never start."""
+    from scipy import sparse
+
+    from curvetomo import operators
+    from curvetomo.operators import _RowBands
+
+    class NeverRuns:
+        def submit(self, fn, *args):
+            pass
+
+    monkeypatch.setattr(operators, "_worker_count", lambda: 3)
+    monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
+    monkeypatch.setattr(operators, "_band_pool", NeverRuns)
+    rng = np.random.default_rng(62)
+    matrix = sparse.random(60, 40, density=0.3, format="csr", random_state=rng)
+    bands = _RowBands(matrix)
+    assert bands.workers == 3
+    v = rng.standard_normal(40)
+    assert bands.matvec(v).tobytes() == (matrix @ v).tobytes()
+
+
+def test_no_band_pool_at_import_or_with_one_worker(static_pf, monkeypatch):
+    """Importing the package starts no thread, and one worker applies every
+    matrix on the calling thread without creating the pool."""
+    import os
+    import subprocess
+    import sys
+
+    from curvetomo import operators
+
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    code = ("import threading, curvetomo, curvetomo.operators as o; "
+            "assert o._pool is None and threading.active_count() == 1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    monkeypatch.setattr(operators, "_pool", None)
+    monkeypatch.setattr(operators, "_worker_count", lambda: 1)
+    monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
+    tr = LevelSetTransform(static_pf, UnitWeight(), make_image_grid(32),
+                           SinoSpec(ns=35, nt=48))
+    NormalOperator(tr, symmetric=True).apply(smooth_field(make_image_grid(32), 60))
+    assert tr.workers == 1 and operators._pool is None
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,17 @@ def test_landweber_reduces_residual(solver_setup):
     assert report.residual_history[-1] < report.residual_history[0]
 
 
+def test_solvers_time_each_iteration(solver_setup):
+    """Both solvers record one positive wall time per iteration, together
+    within the solve's runtime."""
+    truth, tr, op, data = solver_setup
+    for solve in (cg_normal_solve, landweber_solve):
+        _, report = solve(op, data, max_iter=4)
+        assert len(report.iteration_s) == report.iterations == 4
+        assert all(t > 0.0 for t in report.iteration_s)
+        assert sum(report.iteration_s) <= report.runtime
+
+
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
