@@ -151,7 +151,7 @@ def cmd_forward(args, config, run):
     g = tr.forward(img)
     n_nan = int(np.sum(~np.isfinite(g.values)))
     run.manifest["metrics"]["nan_samples"] = n_nan
-    run.manifest["metrics"]["workers"] = tr.workers
+    run.manifest["metrics"].update(tr.stats)
     run.write_grid("sinogram.grid", g)
     run.write_pgm("sinogram.pgm", g.values)
     return run.finish()
@@ -173,7 +173,7 @@ def cmd_adjoint_test(args, config, run):
         worst = max(worst, rel)
     run.manifest["metrics"]["adjoint_discrepancy"] = worst
     run.manifest["metrics"]["tolerance"] = args.tol
-    run.manifest["metrics"]["workers"] = tr.workers
+    run.manifest["metrics"].update(tr.stats)
     if worst > args.tol:
         raise NumericBudgetError(f"adjoint discrepancy {worst:.3e} exceeds {args.tol}")
     return run.finish()
@@ -282,7 +282,7 @@ def cmd_reconstruct(args, config, run):
         "iterations": report.iterations,
         "final_residual": report.residual_history[-1] if report.residual_history else 0.0,
         "runtime_s": report.runtime,
-        "workers": tr.workers,
+        **tr.stats,
     })
     run.write_text("solve_report.json", json.dumps({
         "iterations": report.iterations,

@@ -144,6 +144,20 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _check_number(d, key, where, minimum, kind=int):
+    """``d[key]`` converted to ``kind``, or None if absent; ConfigError
+    unless it converts to a finite value of at least ``minimum``."""
+    if key not in d:
+        return None
+    try:
+        value = kind(d[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key} must be a number, got {d[key]!r}") from None
+    if not (math.isfinite(value) and value >= minimum):
+        raise ConfigError(f"{where}.{key} must be at least {minimum}, got {d[key]!r}")
+    return value
+
+
 @dataclass
 class GeometryConfig:
     """Validated experiment configuration; canonical JSON round-trips
@@ -188,6 +202,16 @@ class GeometryConfig:
         _reject_unknown(sinogram, _SINO_KEYS, "sinogram")
         atlas = dict(raw.get("atlas", {"n_charts": 1}))
         _reject_unknown(atlas, _ATLAS_KEYS, "atlas")
+        # the smallest sizes the transform and its grids can use: two
+        # pixels, and two samples per axis to give a spacing
+        _check_number(image, "nx", "image", 2)
+        if _check_number(image, "support_radius", "image", 0.0, kind=float) == 0.0:
+            raise ConfigError("image.support_radius must be positive")
+        _check_number(sinogram, "ns", "sinogram", 2)
+        _check_number(sinogram, "nt", "sinogram", 2)
+        _check_number(atlas, "n_charts", "atlas", 1)
+        chunk_t = _check_number(raw, "chunk_t", "config", 1)
+        seed = _check_number(raw, "seed", "config", 0)
         interp = raw.get("interp", "cubic")
         if interp not in ("cubic", "linear"):
             raise ConfigError("interp must be 'cubic' or 'linear'")
@@ -200,8 +224,9 @@ class GeometryConfig:
         if phantom is not None and not isinstance(phantom, list):
             raise ConfigError("phantom must be a list of ellipse specs")
         return cls(phase=phase, weight=weight, image=image, sinogram=sinogram,
-                   atlas=atlas, t_range=t_range, seed=int(raw.get("seed", DEFAULT_SEED)),
-                   interp=interp, chunk_t=int(raw.get("chunk_t", 4)), phantom=phantom)
+                   atlas=atlas, t_range=t_range,
+                   seed=DEFAULT_SEED if seed is None else seed, interp=interp,
+                   chunk_t=4 if chunk_t is None else chunk_t, phantom=phantom)
 
     @classmethod
     def from_json(cls, text):

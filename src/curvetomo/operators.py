@@ -22,15 +22,24 @@ sparse matrix K on first use.  Applying either operator is then a spline
 prefilter (a small dense matrix per axis) and one sparse product, which is
 what makes iterative solves affordable.  M is assembled in blocks of at most
 ``chunk_t`` acquisition times and K in blocks of pixels, each within a fixed
-scratch budget.
+scratch budget per thread.
 
-Each matrix is applied in bands of consecutive rows of about equal nnz, on
-one thread per CPU the process may run on (``os.sched_getaffinity``, so
-``taskset`` limits it); a matrix of fewer than two bands of
-``_BAND_MIN_NNZ`` nonzeros is one band on the calling thread.  Every band
-is one call of SciPy's own CSR kernel on the matrix's arrays, writing its
-slice of the output, so each row is summed in the same order as by
-``matrix @ v`` and the outputs are bit-identical for any number of CPUs.
+Assembly and products run on one thread per CPU the process may run on
+(``os.sched_getaffinity``, so ``taskset`` limits it): the calling thread
+and a pool of the others, created on first use and never at import, take
+blocks in order (``_run_blocks``).  With one CPU no pool is created.
+
+* Assembly: each block of M adds its taps into its thread's dense scratch
+  with one ``coo_todense`` pass in a fixed order, and K's blocks are
+  independent per pixel; the finished blocks are appended in block order,
+  with at most ``_BLOCKS_AHEAD_PER_WORKER`` per thread waiting.  M and K
+  are therefore bit-identical for any number of CPUs.
+* Products: each matrix is applied in bands of consecutive rows of about
+  equal nnz; a matrix of fewer than two bands of ``_BAND_MIN_NNZ``
+  nonzeros is one band on the calling thread.  Every band is one call of
+  SciPy's own CSR kernel on the matrix's arrays, writing its slice of the
+  output, so each row is summed in the same order as by ``matrix @ v`` and
+  the outputs are bit-identical for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import bisect
 import math
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -406,10 +416,13 @@ def _prefilter_matrix(n, order):
     return ndimage.spline_filter1d(np.eye(n), order=order, axis=0, mode="constant")
 
 
-# Scratch memory of one assembly block.  A block of M holds at most
-# ``chunk_t`` acquisition times and fewer where those would need more than
-# this; the pixel blocks of K are sized by it alone.
-_BLOCK_BYTES = 16 * 2**20
+# Scratch memory of one assembly block, per thread.  A block of M holds at
+# most ``chunk_t`` acquisition times and fewer where those would need more
+# than this; the pixel blocks of K are sized by it alone.  On two threads at
+# 64^2 (ns = 68, nt = 180), blocks of 2 to 16 MB assembled M in the same
+# time within noise (0.35-0.42 s), and 4 MB kept the peak RSS of three
+# set-ups in one process at 201-203 MB, against 221-223 MB with 16 MB.
+_BLOCK_BYTES = 4 * 2**20
 
 
 class _Buffer:
@@ -459,20 +472,23 @@ class _RowBlocks:
         self.indices.extend(indices)
         self.row_counts.extend(row_counts)
 
-    def append_dense(self, dense, nrows):
-        """Append the first ``nrows`` rows of the flat accumulator ``dense``
-        without their exact zeros, and reset those rows to zero."""
-        nz = np.flatnonzero(dense[:nrows * self.ncols] != 0.0)
-        row_start = self.ncols * np.arange(nrows)
-        counts = np.diff(np.searchsorted(nz, row_start), append=len(nz))
-        self.append(counts, nz - np.repeat(row_start, counts), dense[nz])
-        dense[nz] = 0.0
-
     def tocsr(self):
         data, indices, counts = (b.finish() for b in (self.data, self.indices, self.row_counts))
         indptr = np.zeros(len(counts) + 1, dtype=np.int32 if len(data) < 2**31 else np.int64)
         np.cumsum(counts, out=indptr[1:])
         return sparse.csr_matrix((data, indices, indptr), shape=(len(counts), self.ncols))
+
+
+def _take_dense_rows(dense, nrows, ncols):
+    """The first ``nrows`` rows of the flat accumulator ``dense`` as
+    (row counts, column indices, values) without their exact zeros, for
+    ``_RowBlocks.append``; those rows are reset to zero."""
+    nz = np.flatnonzero(dense[:nrows * ncols] != 0.0)
+    row_start = ncols * np.arange(nrows)
+    counts = np.diff(np.searchsorted(nz, row_start), append=len(nz))
+    entries = (counts, (nz - np.repeat(row_start, counts)).astype(np.int32), dense[nz])
+    dense[nz] = 0.0
+    return entries
 
 
 # Fewest nonzeros worth a band of their own.  A 32^2 matrix (about 0.2 M
@@ -494,8 +510,8 @@ def _worker_count():
         return os.cpu_count() or 1
 
 
-# The threads that take bands beside the calling one.  Created by the first
-# product on more than one thread, never at import.
+# The threads that take blocks and bands beside the calling one.  Created by
+# the first assembly or product on more than one thread, never at import.
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -519,6 +535,113 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+# Finished blocks that may wait to be consumed, per thread of a run.
+_BLOCKS_AHEAD_PER_WORKER = 2
+
+
+def _run_blocks(n, work, workers, consume=None):
+    """Run ``work(b)`` for b = 0 .. n - 1 on the calling thread and
+    ``workers - 1`` threads of the band pool.
+
+    Threads take blocks in order, each the lowest one no thread has taken,
+    until none are left.  The calling thread waits only for blocks other
+    threads have taken, never for a thread to start: on a busy host an idle
+    CPU can take milliseconds to wake, and a thread that starts after the
+    last block is taken returns at once.
+
+    With ``consume``, the calling thread passes each block's result to
+    ``consume`` in block order, and no thread takes a block more than
+    ``_BLOCKS_AHEAD_PER_WORKER * workers`` past the first one not yet
+    consumed, so at most that many finished results wait.  The calling
+    thread consumes the next result, once it is ready, before it takes
+    another block.
+
+    The first exception raised by a block or by ``consume`` is raised on
+    the calling thread once no thread runs a block of this call; no thread
+    takes a block after it.
+    """
+    if workers < 2 or n < 2:
+        for b in range(n):
+            result = work(b)
+            if consume is not None:
+                consume(result)
+        return
+    ahead = _BLOCKS_AHEAD_PER_WORKER * workers if consume is not None else n
+    cond = threading.Condition()
+    ready = {}          # finished results not yet consumed, by block
+    errors = []
+    taken = consumed = running = 0
+
+    def take():
+        # under ``cond``: the block to run, -1 to wait for room, None if done
+        nonlocal taken, running
+        if errors or taken == n:
+            return None
+        if taken == consumed + ahead:
+            return -1
+        running += 1
+        taken += 1
+        return taken - 1
+
+    def run(b):
+        nonlocal running
+        try:
+            result, error = work(b), None
+        except BaseException as exc:
+            result, error = None, exc
+        with cond:
+            running -= 1
+            if error is not None:
+                errors.append(error)
+            elif consume is not None and not errors:
+                ready[b] = result
+            cond.notify_all()
+
+    def drain():
+        while True:
+            with cond:
+                b = take()
+                while b == -1:
+                    cond.wait()
+                    b = take()
+            if b is None:
+                return
+            run(b)
+
+    pool = _band_pool()
+    for _ in range(workers - 1):
+        pool.submit(drain)
+    try:
+        while True:
+            with cond:
+                while True:
+                    if errors:
+                        raise errors[0]
+                    if consumed in ready:
+                        b, result = None, ready.pop(consumed)
+                        break
+                    b = take()
+                    if b is not None and b >= 0:
+                        break
+                    if (consumed == n) if consume is not None else (running == 0):
+                        return
+                    cond.wait()
+            if b is not None:
+                run(b)
+                continue
+            consume(result)
+            with cond:
+                consumed += 1
+                cond.notify_all()
+    except BaseException as exc:
+        with cond:
+            if not errors:
+                errors.append(exc)
+            cond.notify_all()
+            cond.wait_for(lambda: running == 0)
+        raise
+
+
 class _RowBands:
     """A CSR matrix applied in bands of consecutive rows on several threads.
 
@@ -526,9 +649,10 @@ class _RowBands:
     least ``_BAND_MIN_NNZ`` of them: ``_BANDS_PER_WORKER`` per CPU the
     process may run on (``_worker_count()``), or one on a single CPU.  A
     product runs on ``workers`` threads, the calling one among them, which
-    take bands in row order until none are left.  A band is the matrix's
-    own ``indices`` and ``data`` read through a view of its ``indptr``, so no
-    entry is copied (a ``csr_matrix`` row slice would copy them).  Each band
+    take bands in row order until none are left (``_run_blocks``).  A band
+    is the matrix's own ``indices`` and ``data`` read through a view of its
+    ``indptr``, so no entry is copied (a ``csr_matrix`` row slice would copy
+    them).  Each band
     is summed by SciPy's ``csr_matvec``, the kernel of ``matrix @ v``, into
     its slice of one zeroed output, so the product has the bits of
     ``matrix @ v`` whatever the band count or the thread a band ran on.
@@ -557,44 +681,16 @@ class _RowBands:
             raise ValueError(f"vector of shape {v.shape} for a matrix of shape "
                              f"{self.matrix.shape}")
         out = np.zeros(self.matrix.shape[0], dtype=self.matrix.dtype)
-        if self.workers < 2:
-            for band in self.bands:
-                self._apply(band, v, out)
-            return out
-        # The calling thread waits for the bands other threads have taken,
-        # not for those threads to start: on a busy host an idle CPU can
-        # take milliseconds to wake, and a thread that starts after the last
-        # band is taken returns at once without touching ``out``.
-        todo = iter(self.bands)
-        done = threading.Condition()
-        running, errors = 0, []
-
-        def drain():
-            nonlocal running
-            while True:
-                with done:
-                    band = next(todo, None)
-                    if band is None:
-                        return
-                    running += 1
-                try:
-                    self._apply(band, v, out)
-                except Exception as exc:
-                    errors.append(exc)
-                finally:
-                    with done:
-                        running -= 1
-                        done.notify_all()
-
-        pool = _band_pool()
-        for _ in range(self.workers - 1):
-            pool.submit(drain)
-        drain()
-        with done:
-            done.wait_for(lambda: running == 0)
-        if errors:
-            raise errors[0]
+        _run_blocks(len(self.bands), lambda b: self._apply(self.bands[b], v, out),
+                    self.workers)
         return out
+
+
+def _matrix_stats(name, matrix, seconds):
+    """The ``LevelSetTransform.stats`` entries of an assembled matrix."""
+    return {f"{name}_assembly_s": seconds, f"{name}_nnz": int(matrix.nnz),
+            f"{name}_bytes": int(matrix.data.nbytes + matrix.indices.nbytes
+                                 + matrix.indptr.nbytes)}
 
 
 # Quadrature step along traced curves and along the lines of
@@ -623,9 +719,18 @@ class LevelSetTransform:
     ``K`` is a separate quadrature, not ``M^T``; the two agree to the
     duality tolerance.  M is assembled in row blocks of at most ``chunk_t``
     times and K in blocks of pixels, each cut to fit ``_BLOCK_BYTES``
-    (16 MB) of scratch; the matrices, and so the outputs, do not depend on
-    the block sizes.  Each is applied in row bands (``_RowBands``) on one
-    thread per CPU, with the bits of ``matrix @ v``.
+    (4 MB) of scratch per thread.  The blocks are built on one thread per
+    CPU (``_run_blocks``) and appended in order, and each cell sums its
+    terms in a fixed order, so the matrices, and with them every output,
+    have the same bits for any block size and any number of CPUs.  Each
+    matrix is applied in row bands (``_RowBands``) on the same threads,
+    with the bits of ``matrix @ v``.
+
+    ``stats`` records each build as it happens: ``plan_s`` (tracing the
+    plan, M's assembly not included), ``failed_curves``, and per matrix
+    (``m`` for M, ``k`` for K) ``<m|k>_assembly_s``, ``<m|k>_nnz`` and
+    ``<m|k>_bytes`` (its CSR arrays), plus ``workers`` as of the latest
+    build.
     """
 
     def __init__(self, pf, mu, image_like, sino_spec, *, interp="cubic", chunk_t=4,
@@ -653,6 +758,7 @@ class LevelSetTransform:
         self._plan = None
         self._adj_tables = None
         self._adj_bands = None
+        self.stats = {}
 
     # -- plan construction ---------------------------------------------------
 
@@ -674,6 +780,7 @@ class LevelSetTransform:
         trace leaves no per-step arrays behind.  Points of failed curves are
         dropped and the weights multiplied by mu.
         """
+        start = time.perf_counter()
         pf = self.pf
         ns, nt = len(self.s_grid), len(self.t_grid)
         n_curves = ns * nt
@@ -743,20 +850,27 @@ class LevelSetTransform:
             keep = ~drop
             points, ids, coeff = np.compress(keep, points, axis=0), ids[keep], coeff[keep]
         coeff *= np.asarray(self.mu(self.t_grid[ids // ns], points), dtype=float)
+        traced = time.perf_counter()
         matrix = self._assemble_forward(points, coeff, ids)
         self._plan = _ForwardPlan(points=points, coeff=coeff, curve_id=ids,
                                   failed=failed, n_failed=int(failed.sum()),
                                   n_curves=n_curves, matrix=matrix,
                                   bands=_RowBands(matrix))
+        self.stats.update(plan_s=traced - start, failed_curves=self._plan.n_failed,
+                          **_matrix_stats("m", matrix, time.perf_counter() - traced),
+                          workers=self.workers)
 
     def _assemble_forward(self, points, coeff, ids):
         """M, assembled in blocks of consecutive rows.
 
         A block accumulates its taps into a dense (rows, pixels) scratch
-        array, so it holds at most ``chunk_t`` times and at most the rows
-        whose scratch fits in ``_BLOCK_BYTES``.  Points are grouped by block
-        with a stable sort, so each (row, pixel) sums its taps in emission
-        order, whatever the block size.
+        array of its thread, so it holds at most ``chunk_t`` times and at
+        most the rows whose scratch fits in ``_BLOCK_BYTES``.  Points are
+        grouped by block with a stable sort, and a block's taps are added
+        by one ``coo_todense`` pass in (x tap, y tap, point) order, so each
+        (row, pixel) sums its taps in the same order whatever the block size
+        or the thread.  The blocks run on the threads of ``_run_blocks`` and
+        are appended to M in row order.
         """
         order = _SPLINE_ORDER[self.interp]
         n_curves = len(self.s_grid) * len(self.t_grid)
@@ -769,11 +883,14 @@ class LevelSetTransform:
         # radix-sorts them up to 16 bits
         by_block = np.argsort((ids // rows_per_block).astype(np.min_scalar_type(n_blocks - 1)),
                               kind="stable")
-        counts = np.bincount(ids // rows_per_block, minlength=n_blocks)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        dense = np.zeros(rows_per_block * npx)
-        matrix = _RowBlocks(npx, 3 * len(ids), rows=n_curves)
-        for b in range(len(counts)):
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(ids // rows_per_block,
+                                                            minlength=n_blocks))])
+        scratch = threading.local()
+
+        def block(b):
+            dense = getattr(scratch, "dense", None)
+            if dense is None:
+                dense = scratch.dense = np.zeros(rows_per_block * npx)
             sel = by_block[bounds[b]:bounds[b + 1]]
             r0 = b * rows_per_block
             cx = (points[sel, 0] - self.origin[0]) / self.spacing
@@ -783,13 +900,18 @@ class LevelSetTransform:
             ix, wx = _spline_taps(cx[inside], self.nx, order)
             iy, wy = _spline_taps(cy[inside], self.ny, order)
             sel = sel[inside]
-            row_x = (ids[sel] - r0) * npx + ix * self.ny
             cwx = coeff[sel] * wx
-            # accumulate in a fixed order, tap pair by tap pair
-            for a in range(order + 1):
-                for c in range(order + 1):
-                    np.add.at(dense, row_x[a] + iy[c], cwx[a] * wy[c])
-            matrix.append_dense(dense, min(rows_per_block, n_curves - r0))
+            # every tap pair's entries, tap pair by tap pair
+            rows = np.tile(ids[sel] - r0, (order + 1) ** 2)
+            cols = ((ix * self.ny)[:, None, :] + iy[None, :, :]).ravel()
+            vals = (cwx[:, None, :] * wy[None, :, :]).ravel()
+            nrows = min(rows_per_block, n_curves - r0)
+            _sparsetools.coo_todense(nrows, npx, len(vals), rows, cols, vals, dense, 0)
+            return _take_dense_rows(dense, nrows, npx)
+
+        matrix = _RowBlocks(npx, 3 * len(ids), rows=n_curves)
+        _run_blocks(n_blocks, block, min(_worker_count(), n_blocks),
+                    consume=lambda entries: matrix.append(*entries))
         return matrix.tocsr()
 
     @property
@@ -840,6 +962,7 @@ class LevelSetTransform:
         values off the grid, and off-branch samples, contribute zero, which
         realizes the data cutoff.
         """
+        start = time.perf_counter()
         pf = self.pf
         pts = self._pixel_points()
         npx = pts.shape[0]
@@ -850,10 +973,11 @@ class LevelSetTransform:
         order = _SPLINE_ORDER[self.interp]
         # about 80 bytes of scratch per (pixel, time, s-tap)
         px_per_block = max(1, _BLOCK_BYTES // (80 * (order + 1) * nt))
-        matrix = _RowBlocks(ns * nt, (order + 1) * npx * nt, rows=npx)
-        for p0 in range(0, npx, px_per_block):
+        n_blocks = -(-npx // px_per_block)
+
+        def block(b):
             # (pixel, time) arrays
-            x = pts[p0:p0 + px_per_block, None, :]
+            x = pts[b * px_per_block:(b + 1) * px_per_block, None, :]
             t = self.t_grid
             mask = pf.branch_mask(t, x)
             phi, g = pf._eval_grad_raw(t, x)
@@ -864,11 +988,17 @@ class LevelSetTransform:
             pix = flat // nt
             idx, w = _spline_taps(sc.ravel()[flat], ns, order)
             # a pixel's entries by time, then by tap
-            matrix.append(np.bincount(pix, minlength=len(x)) * (order + 1),
-                          ((flat - pix * nt) * ns + idx).T.ravel(),
-                          (dt * wj.ravel()[flat] * w).T.ravel())
+            return (np.bincount(pix, minlength=len(x)) * (order + 1),
+                    ((flat - pix * nt) * ns + idx).T.ravel(),
+                    (dt * wj.ravel()[flat] * w).T.ravel())
+
+        matrix = _RowBlocks(ns * nt, (order + 1) * npx * nt, rows=npx)
+        _run_blocks(n_blocks, block, min(_worker_count(), n_blocks),
+                    consume=lambda entries: matrix.append(*entries))
         self._adj_tables = matrix.tocsr()
         self._adj_bands = _RowBands(self._adj_tables)
+        self.stats.update(**_matrix_stats("k", self._adj_tables, time.perf_counter() - start),
+                          workers=self.workers)
 
     def adjoint(self, g):
         """Apply the adjoint: per-pixel time quadrature of mu * J * g(phi, t).

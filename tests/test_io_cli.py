@@ -273,6 +273,8 @@ def test_cli_phantom_forward_adjoint(small_config, tmp_path):
     assert manifest["config_hash"]
     for out in (out2, out3):
         _assert_workers_recorded(out)
+    _assert_set_up_stats_recorded(out2, small_config, "m")
+    _assert_set_up_stats_recorded(out3, small_config, "mk")
 
 
 def _assert_workers_recorded(out_dir):
@@ -284,12 +286,45 @@ def _assert_workers_recorded(out_dir):
     assert 1 <= workers <= operators._worker_count()
 
 
+def _assert_set_up_stats_recorded(out_dir, config_path, matrices):
+    """The manifest carries the transform's set-up stats for the assembled
+    ``matrices`` ("m", "mk"): positive build times, and the failed curves,
+    nnz and bytes of a transform built from the same config."""
+    from curvetomo.cli import _transform
+
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        metrics = json.load(fh)["metrics"]
+    with open(config_path) as fh:
+        _, _, tr = _transform(GeometryConfig.from_json(fh.read()))
+    tr._build_adjoint_tables()
+    assert metrics["plan_s"] > 0.0
+    assert metrics["failed_curves"] == tr.plan.n_failed
+    for name, matrix in (("m", tr.plan.matrix), ("k", tr._adj_tables)):
+        if name not in matrices:
+            assert f"{name}_nnz" not in metrics
+            continue
+        assert metrics[f"{name}_assembly_s"] > 0.0
+        assert metrics[f"{name}_nnz"] == matrix.nnz > 0
+        assert metrics[f"{name}_bytes"] == (matrix.data.nbytes + matrix.indices.nbytes
+                                            + matrix.indptr.nbytes)
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"phase": {"family": "static", "x": 1}}')
     assert main(["phantom", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     bad.write_text("{nope")
     assert main(["phantom", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    # numbers no consumer can use are refused when the config is read; all
+    # but n_charts (read by the atlas of `normal` and `reconstruct`) once
+    # crashed `adjoint-test` with a traceback
+    for raw in ({"chunk_t": 0}, {"chunk_t": "x"}, {"sinogram": {"ns": 1, "nt": 8}},
+                {"sinogram": {"nt": 1}}, {"image": {"nx": 0}}, {"image": {"nx": 1}},
+                {"image": {"nx": 16, "support_radius": 0}}, {"atlas": {"n_charts": 0}},
+                {"seed": -1}, {"sinogram": {"ns": float("nan")}}):
+        bad.write_text(json.dumps(raw))
+        assert main(["adjoint-test", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")]) == 2, raw
 
 
 def test_cli_limited_angle_visibility_exit_4(tmp_path):
@@ -358,6 +393,7 @@ def test_cli_reconstruct_and_normal(small_config, tmp_path):
     assert (tmp_path / "nrm" / "normal.grid").exists()
     for out in (out2, out3, out4):
         _assert_workers_recorded(out)
+    _assert_set_up_stats_recorded(out3, small_config, "mk")
 
 
 def test_cli_stability_and_perturb(small_config, tmp_path):

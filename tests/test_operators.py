@@ -97,6 +97,52 @@ def test_disk_chord_oracle_fine_s(static_pf, ns):
     assert rel < 0.01
 
 
+def _chord(r, p):
+    """Length of the chord at distance p from the centre of a disk of radius r."""
+    return 2 * np.sqrt(np.maximum(r * r - p * p, 0.0))
+
+
+@pytest.mark.parametrize("case", ["rotation", "breathing", "fan"])
+def test_disk_chord_oracle_dynamic_and_fan(case):
+    """The level-set forward of a disk indicator against its closed form,
+    at 128^2 with ns = 135 and nt = 60, on the bins inside the chord.
+
+    * rotation 0.3, disk of radius 0.45 at c = (0.25, -0.15): the level
+      sets are lines with |grad phi| = 1, so g = chord(r, s - phi(t, c));
+      measured 0.0043;
+    * breathing 0.05, centred disk of radius 0.4, inside the flat zone: the
+      level sets there are the lines x . omega(t) = (1 + a sin t) s, so
+      g = chord(r, (1 + a sin t) s); measured 0.0057;
+    * fan R = 3, the disk of the rotation case: the level set is the ray
+      from S(t) = R (cos t, sin t) along omega(s - pi/2), so
+      g = chord(r, (c - S(t)) . omega(s)); measured 0.0041.
+    """
+    from curvetomo.geometry import omega
+
+    c, r = np.array([0.25, -0.15]), 0.45
+    if case == "rotation":
+        pf = make_dynamic_phase(RotationMotion(0.3))
+    elif case == "breathing":
+        pf, c, r = make_dynamic_phase(BreathingMotion(0.05)), np.zeros(2), 0.4
+    else:
+        pf = make_fanbeam_phase(3.0)
+    disk = render_phantom([EllipseSpec(center=tuple(c), semi_axes=(r, r), density=1.0)], 128)
+    tr = LevelSetTransform(pf, UnitWeight(), make_image_grid(128), SinoSpec(ns=135, nt=60))
+    g = tr.forward(disk).values
+    S, T = np.meshgrid(tr.s_grid, tr.t_grid, indexing="ij")
+    if case == "rotation":
+        exact = _chord(r, S - pf._eval_raw(tr.t_grid, np.broadcast_to(c, (len(tr.t_grid), 2))))
+    elif case == "breathing":
+        exact = _chord(r, (1 + 0.05 * np.sin(T)) * S)
+    else:
+        source = 3.0 * np.stack([np.cos(T), np.sin(T)], axis=-1)
+        exact = _chord(r, np.sum((c - source) * omega(S), axis=-1))
+    m = exact > 0
+    assert m.sum() > 0.05 * m.size      # the fan's chords cover 9% of its bins
+    rel = math.sqrt(np.sum((g[m] - exact[m]) ** 2) / np.sum(exact[m] ** 2))
+    assert rel < 0.01
+
+
 def test_forward_zero_and_linearity(small_transform):
     tr = small_transform
     img = make_image_grid(48)
@@ -573,7 +619,7 @@ def test_row_blocks_grow_past_capacity():
     dense accumulator, assemble the stacked matrix; the accumulator is reset."""
     from scipy import sparse
 
-    from curvetomo.operators import _RowBlocks
+    from curvetomo.operators import _RowBlocks, _take_dense_rows
 
     rng = np.random.default_rng(54)
     blocks = [sparse.random(3, 7, density=0.5, format="csr", random_state=rng)
@@ -583,7 +629,7 @@ def test_row_blocks_grow_past_capacity():
         built.append(np.diff(b.indptr), b.indices, b.data)
     dense = rng.standard_normal((3, 7)) * (rng.random((3, 7)) < 0.5)
     acc = dense.ravel().copy()
-    built.append_dense(acc, 3)
+    built.append(*_take_dense_rows(acc, 3, 7))
     assert not acc.any()
     expected = np.vstack([b.toarray() for b in blocks] + [dense])
     np.testing.assert_array_equal(built.tocsr().toarray(), expected)
@@ -793,6 +839,13 @@ def test_bands_under_concurrent_callers(monkeypatch):
     assert not wrong and len(pools) == 1
 
 
+class _NeverRuns:
+    """A band pool whose threads never start."""
+
+    def submit(self, fn, *args):
+        pass
+
+
 def test_product_does_not_wait_for_threads_that_never_start(monkeypatch):
     """The calling thread takes every band no other thread has taken, so a
     product completes, with the bits of ``matrix @ v``, even when the pool's
@@ -802,19 +855,127 @@ def test_product_does_not_wait_for_threads_that_never_start(monkeypatch):
     from curvetomo import operators
     from curvetomo.operators import _RowBands
 
-    class NeverRuns:
-        def submit(self, fn, *args):
-            pass
-
     monkeypatch.setattr(operators, "_worker_count", lambda: 3)
     monkeypatch.setattr(operators, "_BAND_MIN_NNZ", 1)
-    monkeypatch.setattr(operators, "_band_pool", NeverRuns)
+    monkeypatch.setattr(operators, "_band_pool", _NeverRuns)
     rng = np.random.default_rng(62)
     matrix = sparse.random(60, 40, density=0.3, format="csr", random_state=rng)
     bands = _RowBands(matrix)
     assert bands.workers == 3
     v = rng.standard_normal(40)
     assert bands.matvec(v).tobytes() == (matrix @ v).tobytes()
+
+
+def _matrix_bytes(case):
+    pf, mu, kw = _geometry(case)
+    tr = LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw)
+    tr._build_adjoint_tables()
+    return [a.tobytes() for m in (tr.plan.matrix, tr._adj_tables)
+            for a in (m.data, m.indices, m.indptr)]
+
+
+@pytest.mark.parametrize("case", ["static", "breathing_bump"])
+def test_assembly_bit_identical_for_any_worker_count(case, monkeypatch):
+    """M (12 row blocks) and K (4 pixel blocks) built by two or three
+    threads, or by the calling thread alone when the pool's threads never
+    start, have the bytes of a one-worker build."""
+    from curvetomo import operators
+
+    monkeypatch.setattr(operators, "_worker_count", lambda: 1)
+    expected = _matrix_bytes(case)
+    for workers in (2, 3):
+        monkeypatch.setattr(operators, "_worker_count", lambda: workers)
+        assert _matrix_bytes(case) == expected, workers
+    monkeypatch.setattr(operators, "_band_pool", _NeverRuns)
+    assert _matrix_bytes(case) == expected
+
+
+class _ThreadPerTask:
+    """A band pool that runs each task on a new daemon thread, kept for
+    inspection."""
+
+    def __init__(self):
+        self.threads = []
+
+    def submit(self, fn, *args):
+        import threading
+
+        thread = threading.Thread(target=fn, args=args, daemon=True)
+        thread.start()
+        self.threads.append(thread)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_block_error_on_a_pool_thread_reaches_the_caller(ordered, monkeypatch):
+    """A block that raises on a pool thread raises on the calling thread,
+    for products and for assembly alike, and every pool thread returns."""
+    import threading
+
+    from curvetomo import operators
+
+    pool = _ThreadPerTask()
+    monkeypatch.setattr(operators, "_band_pool", lambda: pool)
+    caller = threading.get_ident()
+    failed = threading.Event()
+
+    def work(b):
+        if threading.get_ident() != caller:
+            failed.set()
+            raise RuntimeError(f"block {b}")
+        # the calling thread holds its first block until a pool thread failed
+        if not failed.wait(timeout=30):
+            raise TimeoutError("no pool thread took a block")
+        return b
+
+    with pytest.raises(RuntimeError, match="block"):
+        operators._run_blocks(40, work, 3, consume=[].append if ordered else None)
+    assert len(pool.threads) == 2
+    for thread in pool.threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+def test_finished_blocks_waiting_stay_bounded(monkeypatch):
+    """Seven threads, six from the pool, run 300 blocks while the calling
+    thread consumes slowly and thread switches are forced often: the
+    results are consumed in block order, and at no time do more than
+    ``_BLOCKS_AHEAD_PER_WORKER`` per thread wait finished."""
+    import sys
+    import threading
+    import time
+
+    from curvetomo import operators
+
+    workers = 7
+    ahead = operators._BLOCKS_AHEAD_PER_WORKER * workers
+    monkeypatch.setattr(operators, "_worker_count", lambda: workers)
+    monkeypatch.setattr(operators, "_pool", None)
+    lock = threading.Lock()
+    counts = {"finished": 0, "consumed": 0, "peak": 0}
+    order = []
+
+    def work(b):
+        with lock:
+            counts["finished"] += 1
+            counts["peak"] = max(counts["peak"], counts["finished"] - counts["consumed"])
+        return b
+
+    def consume(b):
+        time.sleep(0.001)
+        order.append(b)
+        with lock:
+            counts["consumed"] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        operators._run_blocks(300, work, workers, consume)
+    finally:
+        sys.setswitchinterval(interval)
+        if operators._pool is not None:
+            operators._pool.shutdown(wait=False, cancel_futures=True)
+    assert order == list(range(300))
+    assert workers < counts["peak"] <= ahead
 
 
 def test_no_band_pool_at_import_or_with_one_worker(static_pf, monkeypatch):
