@@ -91,14 +91,19 @@ DEFAULT_DOMAIN = Rect(-1.6, 1.6, -1.6, 1.6)
 class MotionModel:
     """Time-dependent diffeomorphism psi_t of the plane.
 
-    Subclasses provide three closed forms: ``forward`` (psi_t(z)),
-    ``dt_forward`` (d/dt psi_t(z) at fixed z, with no inversion) and
-    ``inverse_jacobian`` (the inverse map and its 2x2 spatial Jacobian,
-    ``(psi_t^{-1}(x), D psi_t^{-1}(x))``, from one inversion).  ``inverse``
-    derives from the last.  The rest follows from one inversion by the chain
-    rule: the time derivative of the inverse is
-    -D psi_t^{-1}(x) dt_forward(t, psi_t^{-1}(x)) (see ``DynamicPhase``), and
-    the volume factor is det D psi_t^{-1}(x) (see
+    Subclasses provide closed forms of ``forward`` (psi_t(z)) and
+    ``dt_forward`` (d/dt psi_t(z) at fixed z, with no inversion), and the
+    inverse in two parts, like ``PhaseFunction``: ``time_factor(t)`` holds
+    what depends on t alone, one row per time (shape ``t.shape + (k,)``),
+    and ``inverse_jacobian_at(factor, x)`` inverts per point from those rows
+    (broadcast against ``x[..., 0]``), returning the inverse map and its 2x2
+    spatial Jacobian, ``(psi_t^{-1}(x), D psi_t^{-1}(x))``, from one
+    inversion.  A batch caller (the tracer, via ``DynamicPhase``) computes
+    the factor once and selects its rows along with the points; the public
+    ``inverse_jacobian(t, x)`` and ``inverse`` derive from the two.  The
+    rest follows from one inversion by the chain rule: the time derivative
+    of the inverse is -D psi_t^{-1}(x) dt_forward(t, psi_t^{-1}(x)) (see
+    ``DynamicPhase``), and the volume factor is det D psi_t^{-1}(x) (see
     ``operators.lagrangian_to_levelset_weight``).
     """
 
@@ -108,8 +113,14 @@ class MotionModel:
     def dt_forward(self, t, z):
         raise NotImplementedError
 
-    def inverse_jacobian(self, t, x):
+    def time_factor(self, t):
         raise NotImplementedError
+
+    def inverse_jacobian_at(self, factor, x):
+        raise NotImplementedError
+
+    def inverse_jacobian(self, t, x):
+        return self.inverse_jacobian_at(self.time_factor(t), x)
 
     def inverse(self, t, x):
         return self.inverse_jacobian(t, x)[0]
@@ -130,9 +141,14 @@ class IdentityMotion(MotionModel):
     def dt_forward(self, t, z):
         return np.zeros(self._shape(t, z) + (2,))
 
-    def inverse_jacobian(self, t, x):
-        return (self.forward(t, x),
-                np.broadcast_to(np.eye(2), self._shape(t, x) + (2, 2)).copy())
+    def time_factor(self, t):
+        return np.empty(np.shape(t) + (0,))
+
+    def inverse_jacobian_at(self, factor, x):
+        x = np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(x[..., 0].shape, np.shape(factor)[:-1])
+        return (np.broadcast_to(x, shape + (2,)).copy(),
+                np.broadcast_to(np.eye(2), shape + (2, 2)).copy())
 
 
 def _rot_apply(theta, v):
@@ -146,7 +162,8 @@ def _rot_apply(theta, v):
 
 class RotationMotion(MotionModel):
     """Rigid rotation psi_t = R_{rate * t}.  rate = -1 is the
-    scanner-synchronized case (phi collapses to x^1)."""
+    scanner-synchronized case (phi collapses to x^1).  The time factor is
+    (cos, sin) of the inverse's angle -rate * t."""
 
     name = "rotation"
 
@@ -161,10 +178,13 @@ class RotationMotion(MotionModel):
         x = self.forward(t, z)
         return self.rate * np.stack([-x[..., 1], x[..., 0]], axis=-1)
 
-    def inverse_jacobian(self, t, x):
+    def time_factor(self, t):
         theta = -self.rate * np.asarray(t, dtype=float)
-        c = np.cos(theta)
-        s = np.sin(theta)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+    def inverse_jacobian_at(self, factor, x):
+        c = factor[..., 0]
+        s = factor[..., 1]
         x = np.asarray(x, dtype=float)
         z = np.stack([c * x[..., 0] - s * x[..., 1], s * x[..., 0] + c * x[..., 1]], axis=-1)
         jac = np.empty(z.shape + (2,))
@@ -181,7 +201,8 @@ _AFFINE_V0 = np.array([0.12, -0.08])
 
 class AffineMotion(MotionModel):
     """Time-affine motion psi_t(z) = A(t) z + b(t) with A(t) near identity:
-    A(t) = I + amplitude*sin(t)*M0, b(t) = amplitude*(1 - cos t)*v0."""
+    A(t) = I + amplitude*sin(t)*M0, b(t) = amplitude*(1 - cos t)*v0.  The
+    time factor is A(t)^{-1}, row-major, followed by b(t)."""
 
     name = "affine"
 
@@ -224,10 +245,17 @@ class AffineMotion(MotionModel):
         bprime = (self.amplitude * np.sin(t))[..., None] * self.v0
         return np.einsum("...ij,...j->...i", Aprime, z) + bprime
 
-    def inverse_jacobian(self, t, x):
-        x = np.asarray(x, dtype=float)
+    def time_factor(self, t):
         inv = self._A_inv(t)
-        z = np.einsum("...ij,...j->...i", inv, x - self._b(t))
+        return np.concatenate([inv.reshape(inv.shape[:-2] + (4,)), self._b(t)], axis=-1)
+
+    def inverse_jacobian_at(self, factor, x):
+        x = np.asarray(x, dtype=float)
+        d0 = x[..., 0] - factor[..., 4]
+        d1 = x[..., 1] - factor[..., 5]
+        z = np.stack([factor[..., 0] * d0 + factor[..., 1] * d1,
+                      factor[..., 2] * d0 + factor[..., 3] * d1], axis=-1)
+        inv = factor[..., :4].reshape(factor.shape[:-1] + (2, 2))
         return z, np.broadcast_to(inv, z.shape + (2,))
 
 
@@ -237,7 +265,8 @@ class BreathingMotion(MotionModel):
     eta is a C^2 taper equal to 1 on [0, r_flat] and 0 beyond r_support, so
     the motion is the identity outside the scanned region.  The inverse is a
     scalar Newton solve on the radius (the radial map r -> (1 + a sin t
-    eta(r)) r is strictly monotone for admissible amplitudes).
+    eta(r)) r is strictly monotone for admissible amplitudes); its time
+    factor is a sin t.
     """
 
     name = "breathing"
@@ -264,56 +293,60 @@ class BreathingMotion(MotionModel):
         u = (self.r_support - np.asarray(r, dtype=float)) / (self.r_support - self.r_flat)
         return -smoothstep_c2_deriv(u) / (self.r_support - self.r_flat)
 
-    def _scale(self, t, r):
-        return 1.0 + self.amplitude * np.sin(t) * self._eta(r)
+    def _scale(self, a_sin, r):
+        # a_sin = amplitude * sin t, the time factor
+        return 1.0 + a_sin * self._eta(r)
 
-    def _scale_dr(self, t, r):
-        return self.amplitude * np.sin(t) * self._eta_prime(r)
+    def _scale_dr(self, a_sin, r):
+        return a_sin * self._eta_prime(r)
 
     def forward(self, t, z):
         z = np.asarray(z, dtype=float)
         r = np.hypot(z[..., 0], z[..., 1])
-        return self._scale(np.asarray(t, dtype=float), r)[..., None] * z
+        return self._scale(self.amplitude * np.sin(np.asarray(t, dtype=float)), r)[..., None] * z
 
     def dt_forward(self, t, z):
         z = np.asarray(z, dtype=float)
         r = np.hypot(z[..., 0], z[..., 1])
         return (self.amplitude * np.cos(np.asarray(t, dtype=float)) * self._eta(r))[..., None] * z
 
-    def _solve_radius(self, t, rho):
-        """Invert r * scale(t, r) = rho by vectorized Newton iteration.
+    def time_factor(self, t):
+        return (self.amplitude * np.sin(np.asarray(t, dtype=float)))[..., None]
+
+    def _solve_radius(self, a_sin, rho):
+        """Invert r * scale(a_sin, r) = rho by vectorized Newton iteration.
 
         Each point stops as soon as its own residual is small and is left
         untouched after that, so its radius does not depend on which other
         points share the call.
         """
-        shape = np.broadcast_shapes(np.shape(t), np.shape(rho))
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
+        shape = np.broadcast_shapes(np.shape(a_sin), np.shape(rho))
+        a_sin = np.broadcast_to(np.asarray(a_sin, dtype=float), shape).ravel()
         rho = np.broadcast_to(np.asarray(rho, dtype=float), shape).ravel()
-        r = rho / self._scale(t, rho)  # good starting guess for small amplitude
+        r = rho / self._scale(a_sin, rho)  # good starting guess for small amplitude
         tol = 1e-14 * max(1.0, self.r_support)
-        # the points still iterating: flat index, time, target and radius
-        idx, tl, rhol, rl = np.arange(len(r)), t, rho, r
+        # the points still iterating: flat index, time factor, target and radius
+        idx, al, rhol, rl = np.arange(len(r)), a_sin, rho, r
         for _ in range(40):
-            c = self._scale(tl, rl)
+            c = self._scale(al, rl)
             f = rl * c - rhol
             live = np.abs(f) >= tol
             if not live.any():
                 break
-            idx, tl, rhol, rl, c, f = (a[live] for a in (idx, tl, rhol, rl, c, f))
-            rl = np.maximum(rl - f / (c + rl * self._scale_dr(tl, rl)), 0.0)
+            idx, al, rhol, rl, c, f = (a[live] for a in (idx, al, rhol, rl, c, f))
+            rl = np.maximum(rl - f / (c + rl * self._scale_dr(al, rl)), 0.0)
             r[idx] = rl
         return r.reshape(shape)
 
-    def inverse_jacobian(self, t, x):
+    def inverse_jacobian_at(self, factor, x):
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
+        a_sin = factor[..., 0]
         rho = np.hypot(x[..., 0], x[..., 1])
-        r = self._solve_radius(t, rho)
+        r = self._solve_radius(a_sin, rho)
         ratio = r / np.where(rho > 0.0, rho, 1.0)
         inv = np.where(rho > 0.0, ratio, 1.0)[..., None] * x
-        c = self._scale(t, r)
-        cp = self._scale_dr(t, r)
+        c = self._scale(a_sin, r)
+        cp = self._scale_dr(a_sin, r)
         # Sherman-Morrison inverse of D psi = c I + (c'/r) z z^T at z = psi^-1(x),
         # with z taken as 0 where |x| <= 1e-12
         safe_r = np.where(r > 1e-12, r, 1.0)
@@ -432,11 +465,13 @@ class PhaseFunction:
     x)``, which returns both from one evaluation (for a dynamic phase, one
     inversion of the motion); the gradient may come back unbroadcast where
     it does not depend on x.  ``factor = _time_factor(t)`` holds the factors
-    of phi that depend on t alone, one row per time for t of shape (n,), so
-    batch callers (the tracer) compute it once and select its rows along
-    with the points.  ``_eval_grad_raw(t, x)``, ``_eval_raw`` and each
-    family's ``_grad_x_raw`` derive from it; a caller that needs phi and its
-    gradient at the same points makes one call.
+    of phi that depend on t alone, one row per time for t of shape (n,)
+    (omega(t) for the static phase, omega(t) followed by the motion's own
+    time factor for a dynamic one), so batch callers compute it once per
+    time: the tracer selects its rows along with the points, and a scan
+    passes (n,) times against (m, 1, 2) points.  ``_eval_grad_raw(t, x)``,
+    ``_eval_raw`` and each family's ``_grad_x_raw`` derive from it; a caller
+    that needs phi and its gradient at the same points makes one call.
 
     The base class's own ``_grad_x_raw``, ``_dt_raw`` and ``_dt_grad_x_raw``
     are central differences of phi with step ``fd_step``: the reference the
@@ -546,8 +581,10 @@ class StaticPhase(PhaseFunction):
 class DynamicPhase(PhaseFunction):
     """phi(t, x) = psi_t^{-1}(x) . omega(t) for a motion model psi_t.
 
-    phi and grad_x phi = (D psi_t^{-1})^T omega(t) come from one call of
-    the motion's ``inverse_jacobian``.  So does the time derivative: by the
+    The time factor is omega(t) with the motion's ``time_factor(t)``
+    appended, so a batch caller evaluates both once per time.  phi and
+    grad_x phi = (D psi_t^{-1})^T omega(t) come from one call of the
+    motion's ``inverse_jacobian_at``.  So does the time derivative: by the
     chain rule d/dt psi_t^{-1}(x) = -D psi_t^{-1}(x) v with v the motion's
     ``dt_forward`` at z = psi_t^{-1}(x), hence
 
@@ -575,14 +612,17 @@ class DynamicPhase(PhaseFunction):
             raise DomainError("point outside extended domain of dynamic phase")
 
     def _time_factor(self, t):
-        return omega(t)
+        return np.concatenate([omega(t), self.motion.time_factor(t)], axis=-1)
 
-    def _eval_grad_at(self, t, w, x):
-        z, jac = self.motion.inverse_jacobian(t, x)
+    def _eval_grad_at(self, t, factor, x):
+        w = factor[..., :2]
+        motion_factor = factor[..., 2:]
+        z, jac = self.motion.inverse_jacobian_at(motion_factor, x)
         if self._analytic:
             g = _transpose_apply(jac, w)
         else:
-            g = _central_grad(lambda y: _dot(self.motion.inverse(t, y), w), self.fd_step, x)
+            g = _central_grad(lambda y: _dot(self.motion.inverse_jacobian_at(motion_factor, y)[0],
+                                             w), self.fd_step, x)
         return _dot(z, w), g
 
     def _grad_x_raw(self, t, x):
@@ -815,33 +855,53 @@ def curve_tolerance(pf):
 def project_to_level(pf, t, s, x0, tol, max_iter=20):
     """Newton projection of points onto {phi(t, .) = s} along grad phi.
 
-    Vectorized; returns (points, ok_mask).  Scalar callers wrap the result.
+    Vectorized over t, s and x0 (..., 2), broadcast together; returns
+    (points, ok_mask).  Each point stops once its own residual passes, so
+    its result does not depend on which other points share the call.
+    Scalar callers wrap the result.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(s), x0.shape[:-1])
+    t = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
+    s = np.broadcast_to(np.asarray(s, dtype=float), shape).ravel()
+    x = np.broadcast_to(x0, shape + (2,)).reshape(-1, 2).copy()
+    ok = np.zeros(len(t), dtype=bool)
+    # the points still iterating: flat index, time, time factor, level, point
+    idx, tl, fl, sl, xl = np.arange(len(t)), t, pf._time_factor(t), s, x
     for _ in range(max_iter):
-        phi, g = pf._eval_grad_raw(t, x)
-        r = phi - s
-        if np.max(np.abs(r), initial=0.0) < tol:   # also ends an empty batch
+        phi, g = pf._eval_grad_at(tl, fl, xl)
+        r = phi - sl
+        live = ~(np.abs(r) < tol)
+        ok[idx[~live]] = True
+        if not live.any():
             break
+        g = np.broadcast_to(g, xl.shape)
+        idx, tl, sl, r = idx[live], tl[live], sl[live], r[live]
+        fl, xl, g = (np.compress(live, a, axis=0) for a in (fl, xl, g))
         g2 = np.maximum(np.sum(g * g, axis=-1), 1e-300)
-        x = x - (r / g2)[..., None] * g
+        xl = xl - (r / g2)[..., None] * g
+        x[idx] = xl
     else:
-        r = pf._eval_raw(t, x) - s
-    ok = np.abs(r) < tol
+        ok[idx[np.abs(pf._eval_grad_at(tl, fl, xl)[0] - sl) < tol]] = True
     ok &= pf.branch_mask(t, x)
-    return x, ok
+    return x.reshape(shape + (2,)), ok.reshape(shape)
 
 
 def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=None,
                  emit=None, collect=False, corrector_iters=8):
-    """March all curves simultaneously: RK2 predictor along the rotated
-    gradient, Newton corrector back onto the level set.
+    """March all curves simultaneously: an Euler predictor along the rotated
+    gradient at the current vertex, a Newton corrector back onto the level
+    set.
 
     Both directions of every curve are marched in one batch, and only live
     walks are marched: the per-walk state is compacted when walks end, so
-    the cost of a step follows the number of walks still alive.
+    the cost of a step follows the number of walks still alive.  The phase's
+    time factor is computed once per walk.  Each walk leaves the corrector
+    once its own residual passes, so its points do not depend on which
+    other walks share the batch, and the corrector's last gradient is the
+    one at the accepted vertex, which predicts the next step: a step whose
+    predicted point is on the level set (a straight level set) costs one
+    evaluation of the phase.
 
     Parameters
     ----------
@@ -856,7 +916,8 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
         passed are not modified afterwards.
     collect : if True, return per-curve point lists (scalar-op path).
 
-    Returns (points_per_curve | None, closed_mask, stalled_mask).
+    Returns (points_per_curve | None, closed_mask, stalled_mask, steps),
+    ``steps`` counting the predictor steps of all walks.
     """
     n = len(s)
     tol = curve_tolerance(pf)
@@ -867,8 +928,8 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     stalled = np.zeros(n, dtype=bool)
     # both directions march together as 2n walks.  State of the live walks,
     # kept in step: curve index, time and its phase factor, level, signed
-    # step, start point, current vertex and the length of the segment
-    # ending at it
+    # step, start point, current vertex, grad phi there and the length of
+    # the segment ending at it
     walks = ([[] for _ in range(n)], [[] for _ in range(n)]) if collect else None
     gid = np.concatenate([np.arange(n), np.arange(n)])
     ta = np.concatenate([t, t])
@@ -877,9 +938,14 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     dstep = np.repeat([step, -step], n)
     start = np.concatenate([p0, p0])
     p = start
+    g = np.broadcast_to(pf._eval_grad_at(ta, factor, p)[1], p.shape)
     prev_len = np.zeros(2 * n)
     support_stop2 = None if support_stop is None else support_stop * support_stop
+    # inside a support disk that fits in stop_rect, the rectangle test is void
+    rect_test = support_stop is None or not support_stop < min(
+        -stop_rect.xmin, stop_rect.xmax, -stop_rect.ymin, stop_rect.ymax)
     closing2 = (0.5 * step) ** 2
+    steps = 0
 
     def advance(base, g, h):
         # base + h * unit tangent, the tangent being the gradient g turned a
@@ -891,29 +957,40 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
         out[:, 1] = base[:, 1] + g[:, 0] * scale
         return out
 
-    g = None    # grad phi at the current vertices, when the corrector left it
     for k in range(max_steps):
         if not len(gid):
             break
-        if g is None:
-            g = pf._eval_grad_at(ta, factor, p)[1]
-        mid = advance(p, g, 0.5 * dstep)
-        nxt = advance(p, pf._eval_grad_at(ta, factor, mid)[1], dstep)
-        # corrector: pull back onto the level set along grad phi
-        for _ in range(corrector_iters):
-            phi, g = pf._eval_grad_at(ta, factor, nxt)
-            r = phi - sa
-            ok = np.abs(r) < tol
-            if ok.all():
-                break
-            c = r / np.maximum(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1], 1e-300)
-            nxt = np.stack([nxt[:, 0] - c * g[:, 0], nxt[:, 1] - c * g[:, 1]], axis=-1)
-        else:
-            g = None    # nxt moved after its last evaluation
-        keep = ok & stop_rect.contains(nxt) & pf.branch_mask(ta, nxt)
+        steps += len(gid)
+        nxt = advance(p, g, dstep)
+        phi, g = pf._eval_grad_at(ta, factor, nxt)
+        r = phi - sa
+        ok = np.abs(r) < tol
+        if not ok.all():
+            # corrector: Newton steps along grad phi back onto the level set,
+            # for the walks off it only, each until its own residual passes.
+            # g may be a view of the time factor: written into, it is copied
+            g = np.array(np.broadcast_to(g, nxt.shape))
+            live = np.flatnonzero(~ok)
+            r = r[live]
+            for _ in range(corrector_iters - 1):
+                gl, xl = g[live], nxt[live]
+                c = r / np.maximum(gl[:, 0] * gl[:, 0] + gl[:, 1] * gl[:, 1], 1e-300)
+                xl = np.stack([xl[:, 0] - c * gl[:, 0], xl[:, 1] - c * gl[:, 1]], axis=-1)
+                phi, gl = pf._eval_grad_at(ta[live], factor[live], xl)
+                nxt[live] = xl
+                g[live] = gl
+                r = phi - sa[live]
+                on = np.abs(r) < tol
+                ok[live[on]] = True
+                live, r = live[~on], r[~on]
+                if not len(live):
+                    break
+            stalled[gid[~ok]] = True
+        keep = ok & pf.branch_mask(ta, nxt)
         if support_stop is not None:
             keep &= nxt[:, 0] * nxt[:, 0] + nxt[:, 1] * nxt[:, 1] <= support_stop2
-        stalled[gid[~ok]] = True
+        if rect_test:
+            keep &= stop_rect.contains(nxt)
         if k >= 5:
             dx = nxt[:, 0] - start[:, 0]
             dy = nxt[:, 1] - start[:, 1]
@@ -933,9 +1010,7 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
             p, prev_len = nxt, seg
         else:
             gid, ta, sa, dstep, prev_len = (a[keep] for a in (gid, ta, sa, dstep, seg))
-            factor, start, p = (np.compress(keep, a, axis=0) for a in (factor, start, nxt))
-            if g is not None:
-                g = np.compress(keep, g, axis=0)
+            factor, start, p, g = (np.compress(keep, a, axis=0) for a in (factor, start, nxt, g))
         if collect:
             for j, (i, h) in enumerate(zip(gid, dstep)):
                 walks[int(h < 0)][i].append(p[j])
@@ -947,16 +1022,16 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     collected = None
     if collect:
         collected = [walks[0][i][::-1] + [p0[i].copy()] + walks[1][i] for i in range(n)]
-    return collected, closed, stalled
+    return collected, closed, stalled, steps
 
 
 def trace_level_curve(pf, s, t, seed, step, max_steps=None):
     """Trace the connected component of H(s, t) through ``seed``.
 
     The seed is first Newton-projected onto the level set along grad phi;
-    the march then follows the rotated gradient with an RK2 predictor and a
-    Newton corrector, terminating at the domain boundary or on closure
-    (return to within step/2 of the start).
+    the march then follows the rotated gradient with an Euler predictor and
+    a Newton corrector (see ``_trace_batch``), terminating at the domain
+    boundary or on closure (return to within step/2 of the start).
 
     Raises SeedProjectionError / StallError per the tracing contract.
     """
@@ -970,7 +1045,7 @@ def trace_level_curve(pf, s, t, seed, step, max_steps=None):
             f"seed projected outside the domain at (s={s}, t={t}): no component to trace"
         )
     stop_rect = pf.domain.shrunk(1.5 * step)
-    collected, closed, stalled = _trace_batch(
+    collected, closed, stalled, _ = _trace_batch(
         pf, np.array([t], dtype=float), np.array([s], dtype=float), p0, step,
         stop_rect=stop_rect, collect=True, max_steps=max_steps,
     )

@@ -168,7 +168,8 @@ def homogeneous_equivalence_check(pf, t_samples, x_samples=None, threshold=1e-8)
 def _angular_residual(pf, t, x, dir_perp):
     """nu(t, x) . (unit_dir rotated by pi/2); zero iff nu || +-unit_dir.
 
-    t (k,), x (k, 2) and dir_perp (k, 2) are matched row by row."""
+    t (k,), x (k, 2) and dir_perp (k, 2) are matched row by row, or
+    broadcast: (m,) times against (k, 1, 2) points and directions."""
     g = pf._grad_x_raw(t, x)
     norm = np.maximum(np.hypot(g[..., 0], g[..., 1]), 1e-300)
     return (g[..., 0] * dir_perp[..., 0] + g[..., 1] * dir_perp[..., 1]) / norm
@@ -183,12 +184,12 @@ def _scan_block(pf, tt, x, u_perp, residual_tol, offset):
     """Scan the residual of a block of pairs, numbered from ``offset``, on
     the grid ``tt``.
 
+    The residual is evaluated on (pairs, 1, 2) points against the (times,)
+    grid, so the phase's time factor is computed once per grid time.
     Returns the roots found on the grid, as (pair, t) arrays, for the flat
     pairs and the runs of exact-zero nodes, and the sign-change brackets, as
     (pair, left grid index, residual there) arrays."""
-    k, m = len(x), len(tt)
-    r = _angular_residual(pf, np.tile(tt, k), np.repeat(x, m, axis=0),
-                          np.repeat(u_perp, m, axis=0)).reshape(k, m)
+    r = _angular_residual(pf, tt, x[:, None, :], u_perp[:, None, :])
     # identically degenerate: one representative root
     flat = np.all(np.abs(r) < 1e-9, axis=1)
     flat_pair = np.flatnonzero(flat)

@@ -179,14 +179,15 @@ class SinoSpec:
 
 
 def _phase_range(pf, t, pts):
-    """Min and max of phi over every (time, point) pair on the phase's
-    branch, from one batched evaluation."""
-    tt = np.repeat(np.asarray(t, dtype=float), len(pts))
-    xx = np.tile(pts, (len(t), 1))
-    on = pf.branch_mask(tt, xx)
+    """Min and max of phi over every (point, time) pair on the phase's
+    branch, from one evaluation of (points, 1, 2) against the times, which
+    computes the phase's time factor once per time."""
+    t = np.asarray(t, dtype=float)
+    pts = np.asarray(pts, dtype=float)[:, None, :]
+    on = pf.branch_mask(t, pts)
     if not on.any():
         raise ValueError("phase has no branch-valid samples over the support")
-    vals = pf._eval_raw(tt[on], xx[on])
+    vals = pf._eval_raw(t, pts)[on]
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -727,9 +728,12 @@ class LevelSetTransform:
     with the bits of ``matrix @ v``.
 
     ``stats`` records each build as it happens: ``plan_s`` (tracing the
-    plan, M's assembly not included), ``failed_curves``, and per matrix
-    (``m`` for M, ``k`` for K) ``<m|k>_assembly_s``, ``<m|k>_nnz`` and
-    ``<m|k>_bytes`` (its CSR arrays), plus ``workers`` as of the latest
+    plan, M's assembly not included), ``failed_curves``, ``plan_curves``
+    (the (s, t) samples), ``plan_points`` (quadrature points kept),
+    ``plan_bytes`` (the plan's point, weight, curve-id and failure arrays),
+    ``trace_steps`` (the tracer's predictor steps over all walks), and per
+    matrix (``m`` for M, ``k`` for K) ``<m|k>_assembly_s``, ``<m|k>_nnz``
+    and ``<m|k>_bytes`` (its CSR arrays), plus ``workers`` as of the latest
     build.
     """
 
@@ -837,7 +841,7 @@ class LevelSetTransform:
             coeff.extend(weights[sel])
 
         stop_rect = pf.domain.shrunk(2.0 * self.step)
-        _, _, stalled = _trace_batch(
+        _, _, stalled, steps = _trace_batch(
             pf, t_tr, s_tr, p_tr, self.step,
             stop_rect=stop_rect,
             support_stop=trim_r + 2 * self.step,
@@ -857,6 +861,10 @@ class LevelSetTransform:
                                   n_curves=n_curves, matrix=matrix,
                                   bands=_RowBands(matrix))
         self.stats.update(plan_s=traced - start, failed_curves=self._plan.n_failed,
+                          plan_curves=n_curves, plan_points=len(coeff),
+                          plan_bytes=int(points.nbytes + coeff.nbytes + ids.nbytes
+                                         + failed.nbytes),
+                          trace_steps=steps,
                           **_matrix_stats("m", matrix, time.perf_counter() - traced),
                           workers=self.workers)
 

@@ -73,20 +73,32 @@ def test_analytic_derivatives_match_fd(builder, rng):
         assert np.max(np.abs(a - f)) / scale < 1e-6
 
 
-@pytest.mark.parametrize("builder", [
-    lambda: make_static_phase(),
-    lambda: make_dynamic_phase(RotationMotion(0.3)),
-    lambda: make_dynamic_phase(AffineMotion(0.05)),
-    lambda: make_dynamic_phase(BreathingMotion(0.05)),
-    lambda: make_fanbeam_phase(3.0),
-    lambda: make_dynamic_phase(RotationMotion(-1.0), use_analytic=False),
-], ids=["static", "rotation", "affine", "breathing", "fan", "sync_fd"])
-def test_eval_grad_matches_accessors(builder, rng):
+# every builtin family, and every registered motion with analytic and with
+# finite-difference derivatives
+_PHASES = {
+    "static": lambda: make_static_phase(),
+    "rotation": lambda: make_dynamic_phase(RotationMotion(0.3)),
+    "affine": lambda: make_dynamic_phase(AffineMotion(0.05)),
+    "breathing": lambda: make_dynamic_phase(BreathingMotion(0.05)),
+    "fan": lambda: make_fanbeam_phase(3.0),
+    "sync_fd": lambda: make_dynamic_phase(RotationMotion(-1.0), use_analytic=False),
+    "identity": lambda: make_dynamic_phase(IdentityMotion()),
+    **{f"{name}_motion_fd": (lambda name=name: make_dynamic_phase(make_motion(name),
+                                                                   use_analytic=False))
+       for name in sorted(_MOTION_REGISTRY)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PHASES))
+def test_eval_grad_matches_accessors(name, rng):
     """phi and grad phi from the one evaluator equal the value-only and
     gradient-only accessors bit for bit: per point, per point and time as
     the tracer calls it, and (pixels, 1, 2) points against (nt,) times as
-    the adjoint matrix calls it."""
-    pf = builder()
+    the adjoint matrix calls it.  So do per-walk time-factor rows selected
+    with ``np.compress`` as the tracer selects them, against the phase and,
+    for a dynamic phase, against the motion's ``inverse_jacobian``, row by
+    row and point by point."""
+    pf = _PHASES[name]()
     t, x = support_samples(rng, 40, radius=0.9, t_range=pf.t_range)
     for tt, xx in ((t[0], x[0]), (t[0], x), (t, x), (t[:7], x[:, None, :])):
         phi, g = pf._eval_grad_raw(tt, xx)
@@ -98,6 +110,27 @@ def test_eval_grad_matches_accessors(builder, rng):
     phi, g = pf._eval_grad_at(t, pf._time_factor(t), x)
     np.testing.assert_array_equal(phi, pf._eval_raw(t, x))
     np.testing.assert_array_equal(g, pf._grad_x_raw(t, x))
+
+    keep = np.arange(len(t)) % 3 != 1
+    phi, g = pf._eval_grad_at(t[keep], np.compress(keep, pf._time_factor(t), axis=0), x[keep])
+    ref_phi, ref_g = pf._eval_grad_raw(t[keep], x[keep])
+    np.testing.assert_array_equal(phi, ref_phi)
+    np.testing.assert_array_equal(np.broadcast_to(g, ref_g.shape), ref_g)
+    motion = getattr(pf, "motion", None)
+    if motion is None:
+        return
+    z, jac = motion.inverse_jacobian_at(np.compress(keep, motion.time_factor(t), axis=0),
+                                        x[keep])
+    ref_z, ref_jac = motion.inverse_jacobian(t[keep], x[keep])
+    np.testing.assert_array_equal(z, ref_z)
+    np.testing.assert_array_equal(jac, ref_jac)
+    for row, i in enumerate(np.flatnonzero(keep)):
+        zi, jac_i = motion.inverse_jacobian(t[i], x[i])
+        np.testing.assert_array_equal(z[row], zi)
+        np.testing.assert_array_equal(jac[row], jac_i)
+        phi_i, g_i = pf._eval_grad_raw(t[i], x[i])
+        assert phi[row] == phi_i
+        np.testing.assert_array_equal(g[row], g_i)
 
 
 def test_grad_never_vanishes(rng):

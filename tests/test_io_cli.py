@@ -289,7 +289,8 @@ def _assert_workers_recorded(out_dir):
 def _assert_set_up_stats_recorded(out_dir, config_path, matrices):
     """The manifest carries the transform's set-up stats for the assembled
     ``matrices`` ("m", "mk"): positive build times, and the failed curves,
-    nnz and bytes of a transform built from the same config."""
+    plan size, tracer steps, nnz and bytes of a transform built from the
+    same config."""
     from curvetomo.cli import _transform
 
     with open(os.path.join(out_dir, "manifest.json")) as fh:
@@ -297,8 +298,14 @@ def _assert_set_up_stats_recorded(out_dir, config_path, matrices):
     with open(config_path) as fh:
         _, _, tr = _transform(GeometryConfig.from_json(fh.read()))
     tr._build_adjoint_tables()
+    plan = tr.plan
     assert metrics["plan_s"] > 0.0
-    assert metrics["failed_curves"] == tr.plan.n_failed
+    assert metrics["failed_curves"] == plan.n_failed
+    assert metrics["plan_curves"] == plan.n_curves == len(tr.s_grid) * len(tr.t_grid)
+    assert metrics["plan_points"] == len(plan.points) == len(plan.coeff) > 0
+    assert metrics["plan_bytes"] == sum(a.nbytes for a in (plan.points, plan.coeff,
+                                                           plan.curve_id, plan.failed))
+    assert metrics["trace_steps"] == tr.stats["trace_steps"] >= metrics["plan_points"] // 2
     for name, matrix in (("m", tr.plan.matrix), ("k", tr._adj_tables)):
         if name not in matrices:
             assert f"{name}_nnz" not in metrics

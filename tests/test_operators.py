@@ -413,6 +413,45 @@ def test_atlas_limited_angle_uncovered_equals_per_pair(static_pf, monkeypatch):
     assert exc.value.uncovered == expected
 
 
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump"])
+def test_atlas_scans_evaluate_time_factors_once_per_time(case, monkeypatch):
+    """The atlas's scans evaluate (points, 1, 2) against their times: each
+    residual-scan block computes the phase's time factor on at most
+    n_scan + 1 times, and each phase-range scan on its own times only."""
+    from curvetomo import microlocal, operators
+
+    pf, _, _ = _geometry(case)
+    factor = pf._time_factor
+    counting = []
+
+    def counted_factor(t):
+        if counting:
+            counting[-1] += np.size(t)
+        return factor(t)
+
+    def counted(fn, times_of):
+        def wrapper(*args):
+            counting.append(0)
+            try:
+                return fn(*args)
+            finally:
+                seen[fn.__name__].append((counting.pop(), times_of(args)))
+        return wrapper
+
+    seen = {"_scan_block": [], "_phase_range": []}
+    monkeypatch.setattr(pf, "_time_factor", counted_factor)
+    monkeypatch.setattr(microlocal, "_scan_block",
+                        counted(microlocal._scan_block, lambda args: len(args[1])))
+    monkeypatch.setattr(operators, "_phase_range",
+                        counted(operators._phase_range, lambda args: len(args[1])))
+    build_default_atlas(pf, 1.0, 2)
+    assert len(seen["_scan_block"]) > 1 and len(seen["_phase_range"]) == 4
+    for calls in seen.values():
+        for evaluated, times in calls:
+            assert 0 < evaluated <= times
+    assert seen["_scan_block"][0][1] == 721
+
+
 def test_empty_plan_transform_is_zero(static_pf):
     """An s range that misses the support captures no seed: the plan is
     empty and the transform is zero, not an error."""
@@ -691,6 +730,109 @@ def test_plan_buffers_regrow_from_one_row(case, monkeypatch):
     assert len(expected["points"]) > 2**10
     monkeypatch.setattr(operators, "_Buffer", OneRow)
     _assert_bit_equal(_plan_arrays(case), expected)
+
+
+# ---------------------------------------------------------------------------
+# the tracer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["static", "rotation"])
+def test_tracer_evaluates_the_phase_once_per_step(case, monkeypatch):
+    """On straight level sets the predictor reuses the gradient the
+    corrector left at the vertex, and no walk takes a Newton step: inside
+    ``_trace_batch`` the phase is evaluated at no more points than the
+    emitted vertices plus one per walk (the start points)."""
+    from curvetomo import operators
+
+    pf, mu, kw = _geometry(case)
+    counts = {"evaluated": 0, "emitted": 0, "walks": 0}
+    tracing = []
+    evaluate = pf._eval_grad_at
+
+    def counted_eval(t, factor, x):
+        if tracing:
+            counts["evaluated"] += math.prod(np.shape(x)[:-1])
+        return evaluate(t, factor, x)
+
+    trace = operators._trace_batch
+
+    def counted_trace(pf_, t, s, p0, step, *, emit, **options):
+        def counted_emit(p, idx, w):
+            counts["emitted"] += len(p)
+            emit(p, idx, w)
+
+        counts["walks"] += 2 * len(t)
+        tracing.append(True)
+        try:
+            return trace(pf_, t, s, p0, step, emit=counted_emit, **options)
+        finally:
+            tracing.pop()
+
+    monkeypatch.setattr(pf, "_eval_grad_at", counted_eval)
+    monkeypatch.setattr(operators, "_trace_batch", counted_trace)
+    tr = LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw)
+    assert tr.plan.n_failed == 0
+    assert counts["walks"] > 0 and counts["emitted"] > 10 * counts["walks"]
+    assert counts["evaluated"] <= counts["emitted"] + counts["walks"]
+
+
+def _emitted_by_curve(pf, t, s, p0, step, batch, **options):
+    """Trace curves in batches of ``batch`` and return every emitted point
+    and weight with its curve's index, sorted stably by curve (so in
+    emission order per curve), and the stalled and closed masks."""
+    from curvetomo.geometry import _trace_batch
+
+    ids, points, weights, closed, stalled = [], [], [], [], []
+    for b0 in range(0, len(t), batch):
+        def emit(p, idx, w, b0=b0):
+            ids.append(idx + b0)
+            points.append(p.copy())
+            weights.append(w.copy())
+
+        result = _trace_batch(pf, t[b0:b0 + batch], s[b0:b0 + batch], p0[b0:b0 + batch], step,
+                              emit=emit, **options)
+        closed.append(result[1])
+        stalled.append(result[2])
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    return {"ids": ids[order], "points": np.concatenate(points)[order],
+            "weights": np.concatenate(weights)[order], "closed": np.concatenate(closed),
+            "stalled": np.concatenate(stalled)}
+
+
+@pytest.mark.parametrize("case", ["breathing_bump", "fan"])
+def test_traced_points_do_not_depend_on_their_batch(case, monkeypatch):
+    """The plan's seeds projected, and its curves traced, in batches of 97
+    curves give the points, weights and masks of one batch, bit for bit:
+    each point and each walk leaves its Newton iteration once its own
+    residual passes."""
+    from curvetomo import operators
+
+    pf, mu, kw = _geometry(case)
+    calls = {}
+    for name in ("project_to_level", "_trace_batch"):
+        def recorded(*args, name=name, fn=getattr(operators, name), **options):
+            calls[name] = (args, options)
+            return fn(*args, **options)
+
+        monkeypatch.setattr(operators, name, recorded)
+    LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw).plan
+    monkeypatch.undo()
+
+    (_, t, s, seeds, tol), _ = calls["project_to_level"]
+    whole = operators.project_to_level(pf, t, s, seeds, tol)
+    parts = [operators.project_to_level(pf, t[b:b + 97], s[b:b + 97], seeds[b:b + 97], tol)
+             for b in range(0, len(t), 97)]
+    for k in range(2):
+        assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+
+    (_, t, s, p0, step), options = calls["_trace_batch"]
+    del options["emit"]
+    expected = _emitted_by_curve(pf, t, s, p0, step, len(t), **options)
+    got = _emitted_by_curve(pf, t, s, p0, step, 97, **options)
+    for key, want in expected.items():
+        assert got[key].tobytes() == want.tobytes(), key
 
 
 # ---------------------------------------------------------------------------
