@@ -257,7 +257,7 @@ def cmd_normal(args, config, run):
     n_charts = int(config.atlas.get("n_charts", 1))
     atlas = build_default_atlas(pf, img.support_radius, n_charts)
     Nf = NormalOperator(tr, atlas, symmetric=args.symmetric).apply(img)
-    run.manifest["metrics"]["workers"] = tr.workers
+    run.manifest["metrics"].update(tr.stats)
     run.write_grid("normal.grid", Nf)
     run.write_pgm("normal.pgm", Nf.values)
     return run.finish()

@@ -40,6 +40,11 @@ blocks in order (``_run_blocks``).  With one CPU no pool is created.
   SciPy's own CSR kernel on the matrix's arrays, writing its slice of the
   output, so each row is summed in the same order as by ``matrix @ v`` and
   the outputs are bit-identical for any number of CPUs.
+* Stacks: images and sinograms may carry leading stack axes, and the
+  forward and adjoint of a stack read their matrix once for all its
+  slices (``csr_matvecs``, which sums each column in ``csr_matvec``'s
+  order), with the bits of one call per slice.  The normal operator uses
+  this to apply every chart of its atlas in one forward and one adjoint.
 """
 
 from __future__ import annotations
@@ -80,7 +85,11 @@ _SPLINE_ORDER = {"linear": 1, "cubic": 3}
 
 @dataclass
 class ImageGrid:
-    """Square pixel grid; values indexed [ix, iy] with x = origin[0] + ix*h."""
+    """Square pixel grid; values indexed [ix, iy] with x = origin[0] + ix*h.
+
+    ``values`` may carry leading stack axes, ``(..., nx, ny)``: a stack of
+    images on one grid, which ``LevelSetTransform.forward`` maps in one pass.
+    """
 
     nx: int
     ny: int
@@ -92,8 +101,8 @@ class ImageGrid:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.nx, self.ny):
-            raise ValueError("values shape does not match (nx, ny)")
+        if self.values.shape[-2:] != (self.nx, self.ny):
+            raise ValueError("values shape does not match (..., nx, ny)")
 
     def coords(self):
         xs = self.origin[0] + self.spacing * np.arange(self.nx)
@@ -128,7 +137,8 @@ def make_image_grid(nx, support_radius=1.0, pad=0.05, values=None):
 
 @dataclass
 class Sinogram:
-    """Data g(s, t) on a uniform (s, t) product grid; values shape (ns, nt)."""
+    """Data g(s, t) on a uniform (s, t) product grid; values shape (ns, nt),
+    or ``(..., ns, nt)`` for a stack of sinograms on one grid."""
 
     s_grid: np.ndarray
     t_grid: np.ndarray
@@ -138,7 +148,7 @@ class Sinogram:
         self.s_grid = np.asarray(self.s_grid, dtype=float)
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.s_grid), len(self.t_grid)):
+        if self.values.shape[-2:] != (len(self.s_grid), len(self.t_grid)):
             raise ValueError("sinogram values shape mismatch")
 
     @property
@@ -653,10 +663,13 @@ class _RowBands:
     take bands in row order until none are left (``_run_blocks``).  A band
     is the matrix's own ``indices`` and ``data`` read through a view of its
     ``indptr``, so no entry is copied (a ``csr_matrix`` row slice would copy
-    them).  Each band
-    is summed by SciPy's ``csr_matvec``, the kernel of ``matrix @ v``, into
-    its slice of one zeroed output, so the product has the bits of
-    ``matrix @ v`` whatever the band count or the thread a band ran on.
+    them).  Each band is summed by SciPy's ``csr_matvec``, the kernel of
+    ``matrix @ v``, into its slice of one zeroed output, so the product has
+    the bits of ``matrix @ v`` whatever the band count or the thread a band
+    ran on.  A block of k > 1 columns is summed by ``csr_matvecs``, which
+    reads each entry once for all k and sums every column in
+    ``csr_matvec``'s order, so each column of the product has the bits of
+    ``matrix @ v[:, j]``.
     """
 
     def __init__(self, matrix):
@@ -670,19 +683,32 @@ class _RowBands:
         self.bands = [(r0, r1, matrix.indptr[r0:r1 + 1]) for r0, r1 in zip(bounds, bounds[1:])]
         self.workers = min(cpus, len(self.bands))
 
-    def _apply(self, band, v, out):
-        # adds each row's sum to its entry of ``out``, which starts at zero
+    def _apply(self, band, k, v, out):
+        # adds each row's sums to its k entries of the flat, row-major
+        # ``out``, which starts at zero
         r0, r1, indptr = band
         m = self.matrix
-        _sparsetools.csr_matvec(r1 - r0, m.shape[1], indptr, m.indices, m.data, v, out[r0:r1])
+        if k == 1:
+            _sparsetools.csr_matvec(r1 - r0, m.shape[1], indptr, m.indices, m.data, v,
+                                    out[r0:r1])
+        else:
+            _sparsetools.csr_matvecs(r1 - r0, m.shape[1], k, indptr, m.indices, m.data, v,
+                                     out[r0 * k:r1 * k])
 
     def matvec(self, v):
+        """``matrix @ v`` for a vector of shape (n,) or a block of k columns
+        of shape (n, k); a block reads the matrix once for all its columns.
+        One column is summed by ``csr_matvec``, which is about 2.5 times
+        faster on it than ``csr_matvecs``."""
         v = np.ascontiguousarray(v, dtype=self.matrix.dtype)
-        if v.shape != (self.matrix.shape[1],):   # the kernel reads v unchecked
+        if v.ndim not in (1, 2) or v.shape[0] != self.matrix.shape[1]:
+            # the kernels read v unchecked
             raise ValueError(f"vector of shape {v.shape} for a matrix of shape "
                              f"{self.matrix.shape}")
-        out = np.zeros(self.matrix.shape[0], dtype=self.matrix.dtype)
-        _run_blocks(len(self.bands), lambda b: self._apply(self.bands[b], v, out),
+        out = np.zeros((self.matrix.shape[0],) + v.shape[1:], dtype=self.matrix.dtype)
+        k = v.shape[1] if v.ndim == 2 else 1
+        flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+        _run_blocks(len(self.bands), lambda b: self._apply(self.bands[b], k, flat_v, flat_out),
                     self.workers)
         return out
 
@@ -725,7 +751,8 @@ class LevelSetTransform:
     terms in a fixed order, so the matrices, and with them every output,
     have the same bits for any block size and any number of CPUs.  Each
     matrix is applied in row bands (``_RowBands``) on the same threads,
-    with the bits of ``matrix @ v``.
+    with the bits of ``matrix @ v``, to one image or sinogram or to a stack
+    of them in one pass.
 
     ``stats`` records each build as it happens: ``plan_s`` (tracing the
     plan, M's assembly not included), ``failed_curves``, ``plan_curves``
@@ -938,20 +965,35 @@ class LevelSetTransform:
     # -- forward --------------------------------------------------------------
 
     def forward(self, f):
-        """Apply the curve-integral transform to an ImageGrid."""
-        if f.nx != self.nx or abs(f.spacing - self.spacing) > 1e-12:
+        """Apply the curve-integral transform to an ImageGrid.
+
+        ``f.values`` may carry leading stack axes, ``(..., nx, ny)``; the
+        sinogram's values are then ``(..., ns, nt)``.  The stack is
+        prefiltered by one matmul per axis and multiplied by M in one pass
+        over it (``_RowBands.matvec`` on a block of columns), and every
+        slice has the bits of a forward of that slice alone.  Failed curves
+        are NaN in every slice, and the NaN budget is checked once, as for
+        one image.
+        """
+        if (f.nx != self.nx or f.ny != self.ny
+                or abs(f.spacing - self.spacing) > 1e-12):
             raise ValueError("image grid does not match the planned geometry")
         plan = self.plan
-        coef = self._prefilter_x @ np.asarray(f.values, dtype=float) @ self._prefilter_y.T
-        acc = plan.bands.matvec(coef.ravel())
-        out = acc.reshape(len(self.t_grid), len(self.s_grid)).T.copy()
+        values = np.asarray(f.values, dtype=float)
+        ns, nt = len(self.s_grid), len(self.t_grid)
+        # a stack of k images, each prefiltered like one image alone
+        coef = (self._prefilter_x @ values.reshape((-1, self.nx, self.ny))
+                @ self._prefilter_y.T)
+        k = coef.shape[0]
+        acc = plan.bands.matvec(coef.reshape(k, self.nx * self.ny).T)  # row j * ns + i
+        out = np.ascontiguousarray(acc.reshape(nt, ns, k).transpose(2, 1, 0))
         if plan.n_failed:
             if plan.n_failed > self.nan_budget * plan.n_curves:
                 raise NumericBudgetError(
                     f"{plan.n_failed} failed curve traces exceed the NaN budget")
-            fail2d = plan.failed.reshape(len(self.t_grid), len(self.s_grid)).T
-            out[fail2d] = np.nan
-        return Sinogram(self.s_grid.copy(), self.t_grid.copy(), out)
+            out[:, plan.failed.reshape(nt, ns).T] = np.nan
+        return Sinogram(self.s_grid.copy(), self.t_grid.copy(),
+                        out.reshape(values.shape[:-2] + (ns, nt)))
 
     # -- adjoint ----------------------------------------------------------------
 
@@ -1013,14 +1055,25 @@ class LevelSetTransform:
 
         Phase values outside the s grid (and off-branch samples) contribute
         zero, realizing the data cutoff.  NaN samples read as zero.
+
+        ``g.values`` may carry leading stack axes, ``(..., ns, nt)``; the
+        image's values are then ``(..., nx, ny)``, K is read once for the
+        whole stack, and every slice has the bits of an adjoint of that
+        slice alone.
         """
         if len(g.s_grid) != len(self.s_grid) or len(g.t_grid) != len(self.t_grid):
             raise ValueError("sinogram does not match the planned geometry")
         if self._adj_tables is None:
             self._build_adjoint_tables()
-        # rows of ``data`` are the prefiltered s columns, one per time
-        data = np.nan_to_num(np.asarray(g.values, dtype=float)).T @ self._prefilter_s.T
-        img = self._adj_bands.matvec(data.ravel()).reshape(self.nx, self.ny)
+        values = np.asarray(g.values, dtype=float)
+        ns, nt = len(self.s_grid), len(self.t_grid)
+        # rows of each slice of ``data`` are its prefiltered s columns, one
+        # per time
+        data = (np.nan_to_num(values.reshape((-1, ns, nt))).transpose(0, 2, 1)
+                @ self._prefilter_s.T)
+        k = data.shape[0]
+        img = self._adj_bands.matvec(data.reshape(k, nt * ns).T)   # a row per pixel
+        img = np.ascontiguousarray(img.T).reshape(values.shape[:-2] + (self.nx, self.ny))
         return ImageGrid(self.nx, self.ny, self.spacing, self.origin.copy(), img,
                          self.support_radius)
 
@@ -1150,62 +1203,66 @@ class NormalOperator:
     """N = sum_i chi_iX A* (chi_iY A .) and its symmetrized variant
     sum_i sqrt(chi_iX) A* (chi_iY A (sqrt(chi_iX) .)).
 
-    The plain variant shares one forward evaluation across charts; the
-    symmetric variant (required by conjugate-gradient solvers) needs one
-    forward per chart.  Principal symbols agree.
+    An apply makes one forward and one adjoint whatever the chart count, so
+    it reads each assembled matrix once: the symmetric variant (required by
+    conjugate-gradient solvers) forwards the stack of the charts'
+    sqrt(chi_iX)-weighted images, the plain variant forwards f alone, and
+    both take one adjoint of the stack of chi_iY-weighted sinograms.  The
+    charts' images are weighted and summed in chart order, so the result has
+    the bits of the chart-by-chart sum.  Principal symbols agree.
     """
 
     def __init__(self, transform, atlas=None, symmetric=False):
         self.transform = transform
         self.atlas = atlas if atlas is not None else CutoffAtlas.trivial()
         self.symmetric = symmetric
-        self._x_weights = None
-        self._chi_y_cache = None
+        self._weights = None
 
-    def _caches(self):
-        """Per chart, computed once: the image-side weight, chi_iX or for
-        the symmetric variant sqrt(chi_iX), on the pixels, and chi_iY on the
-        (s, t) samples."""
-        if self._x_weights is None:
+    def _chart_weights(self):
+        """Computed once: the image-side weights, chi_iX or for the symmetric
+        variant sqrt(chi_iX), as (charts, nx, ny), and chi_iY as (charts,
+        ns, nt).  A weight that is 1 everywhere, as with the trivial atlas,
+        is None, and its products are skipped."""
+        if self._weights is None:
             tr = self.transform
             pix = tr._pixel_points()
-            self._x_weights = [
-                self.atlas.chart_chi_x(c, pix).reshape(tr.nx, tr.ny)
-                for c in self.atlas.charts
-            ]
+            x = np.stack([self.atlas.chart_chi_x(c, pix).reshape(tr.nx, tr.ny)
+                          for c in self.atlas.charts])
             if self.symmetric:
-                for w in self._x_weights:
-                    np.sqrt(w, out=w)
+                np.sqrt(x, out=x)
             S, T = np.meshgrid(tr.s_grid, tr.t_grid, indexing="ij")
-            self._chi_y_cache = [
-                self.atlas.chart_chi_y(c, S, T) for c in self.atlas.charts
-            ]
-        return self._x_weights, self._chi_y_cache
+            y = np.stack([self.atlas.chart_chi_y(c, S, T) for c in self.atlas.charts])
+            self._weights = tuple(None if np.all(w == 1.0) else w for w in (x, y))
+        return self._weights
+
+    def _chart_sum(self, g):
+        """sum_i w_i A* (chi_iY g_i) in one adjoint, for ``g.values`` holding
+        one sinogram per chart, ``(charts, ns, nt)``, or one for all charts,
+        ``(ns, nt)``."""
+        x, y = self._chart_weights()
+        if y is not None:
+            data = g.values * y
+        else:   # without chi_iY, charts sharing a sinogram share its adjoint
+            data = g.values.reshape((-1,) + g.values.shape[-2:])
+        images = self.transform.adjoint(g.like(data)).values
+        images = np.broadcast_to(images, (len(self.atlas.charts),) + images.shape[1:])
+        out = np.zeros(images.shape[1:])
+        for i, img in enumerate(images):
+            out += img if x is None else x[i] * img
+        return out
 
     def apply(self, f):
-        x_weights, chi_y = self._caches()
-        tr = self.transform
-        if not self.symmetric:
-            g = tr.forward(f)
-            out = np.zeros_like(f.values)
-            for cx, cy in zip(x_weights, chi_y):
-                out += cx * tr.adjoint(g.like(g.values * cy)).values
-            return f.like(out)
-        out = np.zeros_like(f.values)
-        for root, cy in zip(x_weights, chi_y):
-            g = tr.forward(f.like(f.values * root))
-            out += root * tr.adjoint(g.like(g.values * cy)).values
-        return f.like(out)
+        x, _ = self._chart_weights()
+        images = f
+        if self.symmetric and x is not None:    # one sqrt(chi_iX) f per chart
+            images = f.like(f.values * x)
+        return f.like(self._chart_sum(self.transform.forward(images)))
 
     def back_data(self, g):
         """The data-side half of the normal equations: for the symmetric
         variant sum_i sqrt(chi_iX) A* (chi_iY g)."""
-        x_weights, chi_y = self._caches()
         tr = self.transform
-        out = np.zeros((tr.nx, tr.ny))
-        for w, cy in zip(x_weights, chi_y):
-            out += w * tr.adjoint(g.like(g.values * cy)).values
-        return ImageGrid(tr.nx, tr.ny, tr.spacing, tr.origin.copy(), out,
+        return ImageGrid(tr.nx, tr.ny, tr.spacing, tr.origin.copy(), self._chart_sum(g),
                          tr.support_radius)
 
 

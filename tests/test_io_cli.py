@@ -400,7 +400,8 @@ def test_cli_reconstruct_and_normal(small_config, tmp_path):
     assert (tmp_path / "nrm" / "normal.grid").exists()
     for out in (out2, out3, out4):
         _assert_workers_recorded(out)
-    _assert_set_up_stats_recorded(out3, small_config, "mk")
+    for out in (out3, out4):
+        _assert_set_up_stats_recorded(out, small_config, "mk")
 
 
 def test_cli_stability_and_perturb(small_config, tmp_path):

@@ -11,6 +11,7 @@ from curvetomo import (
     CutoffAtlas,
     IdentityMotion,
     NormalOperator,
+    NumericBudgetError,
     RotationMotion,
     SinoSpec,
     Sinogram,
@@ -352,6 +353,89 @@ def test_normal_operator_matches_chartwise_formula(small_transform):
             backed += w * tr.adjoint(g.like(g.values * cy)).values
         assert N.apply(f).values.tobytes() == applied.tobytes()
         assert N.back_data(g).values.tobytes() == backed.tobytes()
+
+
+def test_normal_operator_reads_each_matrix_once_per_apply(small_transform, monkeypatch):
+    """With a 2 x 2 atlas, a symmetric apply makes one forward and one
+    adjoint, on stacks of one slice per chart, a plain apply one of each and
+    back_data one adjoint: each assembled matrix is read once per call."""
+    from curvetomo import Chart
+
+    tr = small_transform
+    img = make_image_grid(48)
+    f = smooth_field(img, 25)
+    g = smooth_sino(tr, 26)
+    atlas = CutoffAtlas(charts=[Chart(x_center=(cx, cy), x_radius=1.2, s_radius=0.9)
+                                for cx in (-0.5, 0.5) for cy in (-0.5, 0.5)])
+    calls = []
+    for name in ("forward", "adjoint"):
+        def counted(self, arg, name=name, fn=getattr(LevelSetTransform, name)):
+            calls.append((name, arg.values.shape))
+            return fn(self, arg)
+        monkeypatch.setattr(LevelSetTransform, name, counted)
+    images, sinos = (4, img.nx, img.ny), (4, len(tr.s_grid), len(tr.t_grid))
+    for symmetric in (False, True):
+        N = NormalOperator(tr, atlas, symmetric=symmetric)
+        calls.clear()
+        N.apply(f)
+        assert calls == [("forward", images if symmetric else images[1:]),
+                         ("adjoint", sinos)]
+        calls.clear()
+        N.back_data(g)
+        assert calls == [("adjoint", sinos)]
+
+
+def _stack(grid, slices):
+    return grid.like(np.stack([s.values for s in slices]))
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "linear"])
+def test_stacks_equal_their_slices(case):
+    """forward and adjoint on stacks of 1, 3 and 4 slices, and on a (2, 2)
+    stack, give every slice the bytes of that slice alone.  Failed curves
+    are NaN in every slice, NaN data reads as zero in every slice, and a
+    stack over the NaN budget is refused as one image is."""
+    pf, mu, kw = _geometry(case)
+    img = make_image_grid(32)
+    spec = SinoSpec(ns=35, nt=48)
+    tr = LevelSetTransform(pf, mu, img, spec, **kw)
+    fs = [smooth_field(img, 60 + i, sigma=1.5) for i in range(4)]
+    gs = [smooth_sino(tr, 64 + i) for i in range(4)]
+    gs[1].values[3:9, 5] = np.nan
+    failed = tr.plan.failed.reshape(len(tr.t_grid), len(tr.s_grid)).T
+    for k in (1, 3, 4):
+        fwd = tr.forward(_stack(img, fs[:k])).values
+        adj = tr.adjoint(_stack(gs[0], gs[:k])).values
+        assert fwd.shape == (k, 35, 48) and adj.shape == (k, 32, 32)
+        for i in range(k):
+            assert fwd[i].tobytes() == tr.forward(fs[i]).values.tobytes(), (k, i)
+            assert np.array_equal(np.isnan(fwd[i]), failed)
+            assert adj[i].tobytes() == tr.adjoint(gs[i]).values.tobytes(), (k, i)
+    zeroed = tr.adjoint(gs[1].like(np.nan_to_num(gs[1].values))).values
+    assert adj[1].tobytes() == zeroed.tobytes()
+    square = tr.forward(img.like(_stack(img, fs).values.reshape(2, 2, 32, 32))).values
+    assert square.shape == (2, 2, 35, 48)
+    assert square.tobytes() == fwd.tobytes()
+    back = tr.adjoint(gs[0].like(_stack(gs[0], gs).values.reshape(2, 2, 35, 48))).values
+    assert back.shape == (2, 2, 32, 32) and back.tobytes() == adj.tobytes()
+    if case == "fan":
+        assert failed.any()
+        strict = LevelSetTransform(pf, mu, img, spec, nan_budget=0.0)
+        assert strict.plan.n_failed > strict.nan_budget * strict.plan.n_curves
+        for f in (fs[0], _stack(img, fs)):
+            with pytest.raises(NumericBudgetError):
+                strict.forward(f)
+
+
+def test_stack_shapes_are_checked_on_the_trailing_axes(small_transform):
+    """A stack is accepted only when its last two axes are the grid's."""
+    tr = small_transform
+    with pytest.raises(ValueError):
+        make_image_grid(48).like(np.zeros((3, 48, 47)))
+    with pytest.raises(ValueError):
+        smooth_sino(tr, 27).like(np.zeros((2, len(tr.s_grid), len(tr.t_grid) + 1)))
+    with pytest.raises(ValueError):
+        tr.forward(make_image_grid(32, values=np.zeros((2, 32, 32))))
 
 
 def test_atlas_trivial_partition(static_pf):
@@ -841,9 +925,9 @@ def test_traced_points_do_not_depend_on_their_batch(case, monkeypatch):
 
 
 def _banded_outputs(case, workers, monkeypatch):
-    """Forward, adjoint, trivial and 2 x 2 atlas normal applies and a
-    5-iteration CG solve on a transform assembled with ``workers`` CPUs and
-    bands down to one nonzero."""
+    """Forward, adjoint, both on stacks of 3, trivial and 2 x 2 atlas
+    normal applies and a 5-iteration CG solve on a transform assembled with
+    ``workers`` CPUs and bands down to one nonzero."""
     from curvetomo import Chart, cg_normal_solve
     from curvetomo import operators
 
@@ -856,7 +940,11 @@ def _banded_outputs(case, workers, monkeypatch):
     g = tr.forward(f)
     grid = CutoffAtlas(charts=[Chart(x_center=(cx, cy), x_radius=1.2)
                                for cx in (-0.5, 0.5) for cy in (-0.5, 0.5)])
-    out = {"forward": g.values, "adjoint": tr.adjoint(smooth_sino(tr, 56)).values}
+    out = {"forward": g.values, "adjoint": tr.adjoint(smooth_sino(tr, 56)).values,
+           "forward stack": tr.forward(img.like(np.stack(
+               [f.values, smooth_field(img, 57, sigma=1.5).values, -f.values]))).values,
+           "adjoint stack": tr.adjoint(g.like(np.stack(
+               [smooth_sino(tr, 58 + i).values for i in range(3)]))).values}
     for name, atlas in (("trivial", CutoffAtlas.trivial()), ("grid", grid)):
         for symmetric in (False, True):
             op = NormalOperator(tr, atlas, symmetric=symmetric)
@@ -907,12 +995,17 @@ def test_bands_read_the_matrices_in_place(static_pf, monkeypatch):
             assert abs(indptr[-1] - indptr[0] - matrix.nnz / 12) <= row_nnz.max()
         v = np.random.default_rng(58).standard_normal(matrix.shape[1])
         assert bands.matvec(v).tobytes() == (matrix @ v).tobytes()
+        block = np.random.default_rng(60).standard_normal((matrix.shape[1], 4))
+        got = bands.matvec(block)
+        for j in range(4):
+            assert got[:, j].tobytes() == (matrix @ block[:, j]).tobytes()
 
 
 def test_bands_of_empty_and_short_matrices(monkeypatch):
     """A matrix without nonzeros, one without rows and one with fewer rows
-    than workers all multiply like ``matrix @ v``; a vector of the wrong
-    length is refused before the kernel reads it."""
+    than workers all multiply like ``matrix @ v``, a vector or a block of
+    columns, each column like ``matrix @ v[:, j]``; a vector or block of the
+    wrong shape is refused before the kernel reads it."""
     from scipy import sparse
 
     from curvetomo import operators
@@ -933,6 +1026,15 @@ def test_bands_of_empty_and_short_matrices(monkeypatch):
         assert got.tobytes() == (matrix @ v).tobytes()
         with pytest.raises(ValueError):
             bands.matvec(v[1:])
+        for k in (1, 3):
+            block = rng.standard_normal((matrix.shape[1], k))
+            got = bands.matvec(block)
+            assert got.shape == (matrix.shape[0], k)
+            for j in range(k):
+                assert got[:, j].tobytes() == (matrix @ block[:, j]).tobytes()
+            for wrong in (block[1:], block[None], np.vstack([block, block])):
+                with pytest.raises(ValueError):
+                    bands.matvec(wrong)
 
 
 def test_bands_under_concurrent_callers(monkeypatch):
