@@ -294,7 +294,10 @@ def build_geometry(config):
 
 
 def write_grid_file(path, obj, geometry_hash=""):
-    """Write an ImageGrid or Sinogram as payload + JSON sidecar."""
+    """Write an ImageGrid or Sinogram as payload + JSON sidecar.  A stack of
+    them is refused: the sidecar's dims describe one."""
+    if isinstance(obj, (ImageGrid, Sinogram)) and obj.values.ndim != 2:
+        raise ValueError(f"cannot write a stack of values of shape {obj.values.shape}")
     if isinstance(obj, ImageGrid):
         sidecar = {
             "kind": "image",

@@ -1221,8 +1221,7 @@ class NormalOperator:
     def _chart_weights(self):
         """Computed once: the image-side weights, chi_iX or for the symmetric
         variant sqrt(chi_iX), as (charts, nx, ny), and chi_iY as (charts,
-        ns, nt).  A weight that is 1 everywhere, as with the trivial atlas,
-        is None, and its products are skipped."""
+        ns, nt)."""
         if self._weights is None:
             tr = self.transform
             pix = tr._pixel_points()
@@ -1232,7 +1231,7 @@ class NormalOperator:
                 np.sqrt(x, out=x)
             S, T = np.meshgrid(tr.s_grid, tr.t_grid, indexing="ij")
             y = np.stack([self.atlas.chart_chi_y(c, S, T) for c in self.atlas.charts])
-            self._weights = tuple(None if np.all(w == 1.0) else w for w in (x, y))
+            self._weights = x, y
         return self._weights
 
     def _chart_sum(self, g):
@@ -1240,30 +1239,33 @@ class NormalOperator:
         one sinogram per chart, ``(charts, ns, nt)``, or one for all charts,
         ``(ns, nt)``."""
         x, y = self._chart_weights()
-        if y is not None:
-            data = g.values * y
-        else:   # without chi_iY, charts sharing a sinogram share its adjoint
-            data = g.values.reshape((-1,) + g.values.shape[-2:])
-        images = self.transform.adjoint(g.like(data)).values
-        images = np.broadcast_to(images, (len(self.atlas.charts),) + images.shape[1:])
+        images = self.transform.adjoint(g.like(g.values * y)).values
         out = np.zeros(images.shape[1:])
-        for i, img in enumerate(images):
-            out += img if x is None else x[i] * img
+        for w, img in zip(x, images):
+            out += w * img
         return out
 
     def apply(self, f):
+        _require_single(f.values, "image")
         x, _ = self._chart_weights()
-        images = f
-        if self.symmetric and x is not None:    # one sqrt(chi_iX) f per chart
-            images = f.like(f.values * x)
+        images = f.like(f.values * x) if self.symmetric else f   # one per chart
         return f.like(self._chart_sum(self.transform.forward(images)))
 
     def back_data(self, g):
         """The data-side half of the normal equations: for the symmetric
         variant sum_i sqrt(chi_iX) A* (chi_iY g)."""
+        _require_single(g.values, "sinogram")
         tr = self.transform
         return ImageGrid(tr.nx, tr.ny, tr.spacing, tr.origin.copy(), self._chart_sum(g),
                          tr.support_radius)
+
+
+def _require_single(values, kind):
+    """Refuse a stack where one image or sinogram is meant: broadcasting
+    would pair its slices with the charts, or fail, without saying why."""
+    if values.ndim != 2:
+        raise ValueError(f"expected one {kind} of 2 axes, got values of shape "
+                         f"{values.shape}")
 
 
 def apply_normal(pf, mu, atlas, f, sino_spec=None, transform=None, symmetric=False, **kwargs):

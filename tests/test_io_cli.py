@@ -95,6 +95,17 @@ def test_grid_file_roundtrip_sinogram(tmp_path):
     np.testing.assert_allclose(back.t_grid, g.t_grid)
 
 
+def test_grid_file_refuses_stacks(tmp_path):
+    """A stacked image or sinogram is not written: its dims would not
+    describe the payload, and reading it back would fail."""
+    img = make_image_grid(8, values=np.zeros((2, 8, 8)))
+    g = Sinogram(np.linspace(-1, 1, 11), np.linspace(0, 6, 7), np.zeros((3, 11, 7)))
+    for i, obj in enumerate((img, g)):
+        with pytest.raises(ValueError):
+            write_grid_file(tmp_path / f"stack{i}.grid", obj)
+        assert not (tmp_path / f"stack{i}.grid").exists()
+
+
 def test_grid_file_checksum_detects_corruption(tmp_path):
     img = make_image_grid(8, values=np.ones((8, 8)))
     path = tmp_path / "img.grid"

@@ -438,6 +438,24 @@ def test_stack_shapes_are_checked_on_the_trailing_axes(small_transform):
         tr.forward(make_image_grid(32, values=np.zeros((2, 32, 32))))
 
 
+def test_normal_operator_refuses_stacks(small_transform):
+    """apply and back_data take one image or sinogram: a stack of one slice
+    per chart would otherwise pair each slice with one chart."""
+    from curvetomo import Chart
+
+    tr = small_transform
+    atlas = CutoffAtlas(charts=[Chart(x_center=(cx, 0.0), x_radius=1.2, s_radius=0.9)
+                                for cx in (-0.5, 0.5)])
+    f = make_image_grid(48, values=np.zeros((2, 48, 48)))
+    g = smooth_sino(tr, 28)
+    for symmetric in (False, True):
+        N = NormalOperator(tr, atlas, symmetric=symmetric)
+        with pytest.raises(ValueError):
+            N.apply(f)
+        with pytest.raises(ValueError):
+            N.back_data(g.like(np.stack([g.values, g.values])))
+
+
 def test_atlas_trivial_partition(static_pf):
     atlas = build_default_atlas(static_pf, 1.0, 1)
     pts = np.random.default_rng(0).uniform(-0.9, 0.9, (50, 2))
