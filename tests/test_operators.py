@@ -103,20 +103,18 @@ def _chord(r, p):
     return 2 * np.sqrt(np.maximum(r * r - p * p, 0.0))
 
 
-@pytest.mark.parametrize("case", ["rotation", "breathing", "fan"])
-def test_disk_chord_oracle_dynamic_and_fan(case):
-    """The level-set forward of a disk indicator against its closed form,
-    at 128^2 with ns = 135 and nt = 60, on the bins inside the chord.
+def _disk_oracle_error(case, nx, ns):
+    """Relative L2 error of the level-set forward of a disk indicator against
+    its closed form, with nt = 60, on the bins inside the chord.
 
     * rotation 0.3, disk of radius 0.45 at c = (0.25, -0.15): the level
       sets are lines with |grad phi| = 1, so g = chord(r, s - phi(t, c));
-      measured 0.0043;
     * breathing 0.05, centred disk of radius 0.4, inside the flat zone: the
       level sets there are the lines x . omega(t) = (1 + a sin t) s, so
-      g = chord(r, (1 + a sin t) s); measured 0.0057;
+      g = chord(r, (1 + a sin t) s);
     * fan R = 3, the disk of the rotation case: the level set is the ray
       from S(t) = R (cos t, sin t) along omega(s - pi/2), so
-      g = chord(r, (c - S(t)) . omega(s)); measured 0.0041.
+      g = chord(r, (c - S(t)) . omega(s)).
     """
     from curvetomo.geometry import omega
 
@@ -127,8 +125,8 @@ def test_disk_chord_oracle_dynamic_and_fan(case):
         pf, c, r = make_dynamic_phase(BreathingMotion(0.05)), np.zeros(2), 0.4
     else:
         pf = make_fanbeam_phase(3.0)
-    disk = render_phantom([EllipseSpec(center=tuple(c), semi_axes=(r, r), density=1.0)], 128)
-    tr = LevelSetTransform(pf, UnitWeight(), make_image_grid(128), SinoSpec(ns=135, nt=60))
+    disk = render_phantom([EllipseSpec(center=tuple(c), semi_axes=(r, r), density=1.0)], nx)
+    tr = LevelSetTransform(pf, UnitWeight(), make_image_grid(nx), SinoSpec(ns=ns, nt=60))
     g = tr.forward(disk).values
     S, T = np.meshgrid(tr.s_grid, tr.t_grid, indexing="ij")
     if case == "rotation":
@@ -140,8 +138,81 @@ def test_disk_chord_oracle_dynamic_and_fan(case):
         exact = _chord(r, np.sum((c - source) * omega(S), axis=-1))
     m = exact > 0
     assert m.sum() > 0.05 * m.size      # the fan's chords cover 9% of its bins
-    rel = math.sqrt(np.sum((g[m] - exact[m]) ** 2) / np.sum(exact[m] ** 2))
-    assert rel < 0.01
+    return math.sqrt(np.sum((g[m] - exact[m]) ** 2) / np.sum(exact[m] ** 2))
+
+
+@pytest.mark.parametrize("case", ["rotation", "breathing", "fan"])
+def test_disk_chord_oracle_dynamic_and_fan(case):
+    """The disk oracles of ``_disk_oracle_error`` at 128^2 with ns = 135;
+    measured 0.0043 (rotation), 0.0057 (breathing) and 0.0041 (fan)."""
+    assert _disk_oracle_error(case, 128, 135) < 0.01
+
+
+@pytest.mark.parametrize("ns", [135, 269])
+@pytest.mark.parametrize("case", ["rotation", "breathing", "fan"])
+def test_disk_chord_oracle_fine_s_dynamic_and_fan(case, ns):
+    """``test_disk_chord_oracle_fine_s`` on the dynamic and fan geometries:
+    the disk oracles of ``_disk_oracle_error`` at 64^2 with ds about h/2 and
+    h/4.  Measured at ns = 135 / 269: 0.0091 / 0.0092 (rotation),
+    0.0091 / 0.0093 (breathing), 0.0087 / 0.0087 (fan), the same with the
+    plan at half-pixel and at one-pixel steps."""
+    assert _disk_oracle_error(case, 64, ns) < 0.01
+
+
+@pytest.mark.parametrize("interp, pixels", [("cubic", 1.0), ("linear", 0.5)])
+def test_plan_samples_each_curve_once_per_pixel(static_pf, interp, pixels):
+    """The plan's trapezoid rule runs at one-pixel steps, and at half-pixel
+    ones for the bilinear tent.  A static curve is a line, and its stored
+    points, sorted along it, lie that step apart; the start point, which
+    both walks emit, is stored twice."""
+    img = make_image_grid(32)
+    tr = LevelSetTransform(static_pf, UnitWeight(), img, SinoSpec(ns=35, nt=48),
+                           interp=interp)
+    plan, ns = tr.plan, len(tr.s_grid)
+    order = np.argsort(plan.curve_id, kind="stable")
+    bounds = np.searchsorted(plan.curve_id[order], np.arange(plan.n_curves + 1))
+    checked = 0
+    for row in range(plan.n_curves):
+        pts = plan.points[order[bounds[row]:bounds[row + 1]]]
+        if len(pts) < 3:
+            continue
+        t = tr.t_grid[row // ns]
+        gaps = np.diff(np.sort(pts[:, 1] * math.cos(t) - pts[:, 0] * math.sin(t)))
+        assert np.count_nonzero(gaps == 0.0) == 1
+        np.testing.assert_allclose(gaps[gaps > 0.0], pixels * img.spacing, rtol=1e-9)
+        checked += 1
+    assert checked > 0.8 * plan.n_curves
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
+def test_plan_quadrature_converged(case, monkeypatch):
+    """The forward at the plan's step against one at a quarter-pixel step,
+    on a smooth field and on an off-centre disk, at 32^2: relative L2
+    difference at most 1e-3, measured 3.9e-4 to 4.4e-4 (smooth field) and
+    1.5e-4 to 1.7e-4 (disk) across the cases, about 20 times below the
+    disk oracles' discretization error at 64^2.  (The bilinear plan, at
+    half a pixel, differs by 1.6e-3 and 7e-4: its integrand has kinks.)"""
+    from curvetomo import operators
+
+    pf, mu, kw = _geometry(case)
+    img = make_image_grid(32)
+    fields = np.stack([
+        smooth_field(img, 51, sigma=1.5).values,
+        render_phantom([EllipseSpec(center=(0.25, -0.15), semi_axes=(0.45, 0.45),
+                                    density=1.0)], 32).values])
+
+    def forward():
+        tr = LevelSetTransform(pf, mu, img, SinoSpec(ns=35, nt=48), **kw)
+        return tr.forward(img.like(fields)).values
+
+    plan_step = forward()
+    monkeypatch.setitem(operators._PLAN_STEP_PX, "cubic", 0.25)
+    fine = forward()
+    failed = np.isnan(plan_step)
+    assert np.array_equal(failed, np.isnan(fine))
+    for got, ref, keep in zip(plan_step, fine, ~failed):
+        rel = math.sqrt(np.sum((got[keep] - ref[keep]) ** 2) / np.sum(ref[keep] ** 2))
+        assert rel <= 1e-3
 
 
 def test_forward_zero_and_linearity(small_transform):
