@@ -852,7 +852,13 @@ def curve_tolerance(pf):
     return 1e-8 * pf.domain.diameter
 
 
-def project_to_level(pf, t, s, x0, tol, max_iter=20):
+# Newton iterations of ``project_to_level``, and of the tracer's corrector
+# per step (counting the predicted point's evaluation as the first).
+_PROJECT_ITERS = 20
+_CORRECTOR_ITERS = 8
+
+
+def project_to_level(pf, t, s, x0, tol):
     """Newton projection of points onto {phi(t, .) = s} along grad phi.
 
     Vectorized over t, s and x0 (..., 2), broadcast together; returns
@@ -868,7 +874,7 @@ def project_to_level(pf, t, s, x0, tol, max_iter=20):
     ok = np.zeros(len(t), dtype=bool)
     # the points still iterating: flat index, time, time factor, level, point
     idx, tl, fl, sl, xl = np.arange(len(t)), t, pf._time_factor(t), s, x
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_ITERS):
         phi, g = pf._eval_grad_at(tl, fl, xl)
         r = phi - sl
         live = ~(np.abs(r) < tol)
@@ -887,8 +893,8 @@ def project_to_level(pf, t, s, x0, tol, max_iter=20):
     return x.reshape(shape + (2,)), ok.reshape(shape)
 
 
-def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=None,
-                 emit=None, collect=False, corrector_iters=8):
+def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, emit=None,
+                 collect=False):
     """March all curves simultaneously: an Euler predictor along the rotated
     gradient at the current vertex, a Newton corrector back onto the level
     set.
@@ -921,8 +927,8 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     """
     n = len(s)
     tol = curve_tolerance(pf)
-    if max_steps is None:
-        max_steps = int(stop_rect.diameter / step * 1.6) + 64
+    # a walk still alive after this many steps has stalled
+    max_steps = int(stop_rect.diameter / step * 1.6) + 64
 
     closed = np.zeros(n, dtype=bool)
     stalled = np.zeros(n, dtype=bool)
@@ -972,7 +978,7 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
             g = np.array(np.broadcast_to(g, nxt.shape))
             live = np.flatnonzero(~ok)
             r = r[live]
-            for _ in range(corrector_iters - 1):
+            for _ in range(_CORRECTOR_ITERS - 1):
                 gl, xl = g[live], nxt[live]
                 c = r / np.maximum(gl[:, 0] * gl[:, 0] + gl[:, 1] * gl[:, 1], 1e-300)
                 xl = np.stack([xl[:, 0] - c * gl[:, 0], xl[:, 1] - c * gl[:, 1]], axis=-1)
@@ -1025,7 +1031,7 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, max_steps=
     return collected, closed, stalled, steps
 
 
-def trace_level_curve(pf, s, t, seed, step, max_steps=None):
+def trace_level_curve(pf, s, t, seed, step):
     """Trace the connected component of H(s, t) through ``seed``.
 
     The seed is first Newton-projected onto the level set along grad phi;
@@ -1047,7 +1053,7 @@ def trace_level_curve(pf, s, t, seed, step, max_steps=None):
     stop_rect = pf.domain.shrunk(1.5 * step)
     collected, closed, stalled, _ = _trace_batch(
         pf, np.array([t], dtype=float), np.array([s], dtype=float), p0, step,
-        stop_rect=stop_rect, collect=True, max_steps=max_steps,
+        stop_rect=stop_rect, collect=True,
     )
     if stalled[0]:
         raise StallError(f"corrector diverged while tracing (s={s}, t={t})")

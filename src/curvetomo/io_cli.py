@@ -158,6 +158,40 @@ def _check_number(d, key, where, minimum, kind=int):
     return value
 
 
+def _finite_pair(value):
+    """``value`` as a list of two finite floats, or None if it is not one."""
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            pair = [float(value[0]), float(value[1])]
+            if math.isfinite(pair[0]) and math.isfinite(pair[1]):
+                return pair
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _check_range(value, where):
+    """``value`` as two floats; ConfigError unless it is two finite,
+    increasing numbers."""
+    pair = _finite_pair(value)
+    if pair is None or not pair[0] < pair[1]:
+        raise ConfigError(f"{where} must be two finite, increasing numbers, got {value!r}")
+    return pair
+
+
+def _check_ellipse(e, where):
+    """ConfigError unless the phantom entry ``e`` has a numeric center pair
+    and a positive semi_axes pair."""
+    if not isinstance(e, dict):
+        raise ConfigError(f"{where} must be an object, got {e!r}")
+    if _finite_pair(e.get("center")) is None:
+        raise ConfigError(f"{where}.center must be two numbers, got {e.get('center')!r}")
+    axes = _finite_pair(e.get("semi_axes"))
+    if axes is None or min(axes) <= 0.0:
+        raise ConfigError(f"{where}.semi_axes must be two positive numbers, "
+                          f"got {e.get('semi_axes')!r}")
+
+
 @dataclass
 class GeometryConfig:
     """Validated experiment configuration; canonical JSON round-trips
@@ -213,16 +247,19 @@ class GeometryConfig:
         chunk_t = _check_number(raw, "chunk_t", "config", 1)
         seed = _check_number(raw, "seed", "config", 0)
         interp = raw.get("interp", "cubic")
-        if interp not in ("cubic", "linear"):
-            raise ConfigError("interp must be 'cubic' or 'linear'")
+        if interp != "cubic":
+            raise ConfigError(f"interp must be 'cubic', got {interp!r}: the bilinear "
+                              "spline was removed")
         t_range = raw.get("t_range")
         if t_range is not None:
-            t_range = [float(t_range[0]), float(t_range[1])]
-            if not t_range[1] > t_range[0]:
-                raise ConfigError("t_range must be increasing")
+            t_range = _check_range(t_range, "t_range")
+        if sinogram.get("s_range") is not None:
+            _check_range(sinogram["s_range"], "sinogram.s_range")
         phantom = raw.get("phantom")
         if phantom is not None and not isinstance(phantom, list):
             raise ConfigError("phantom must be a list of ellipse specs")
+        for k, e in enumerate(phantom or ()):
+            _check_ellipse(e, f"phantom[{k}]")
         return cls(phase=phase, weight=weight, image=image, sinogram=sinogram,
                    atlas=atlas, t_range=t_range,
                    seed=DEFAULT_SEED if seed is None else seed, interp=interp,

@@ -12,14 +12,11 @@ Discretization contract
   integrand's spectrum at the sampling rate, and f's spline on the pixel
   grid carries no detail finer than a pixel: the disk oracles read the same
   to 4 digits at one pixel as at half a pixel, and move from 1.5 pixels on
-  (``_PLAN_STEP_PX``).  The bilinear option keeps half-pixel steps, since
-  its tent kernel's kinks slow the rule's convergence.
+  (``_PLAN_STEP_PX``).
 * adjoint: per pixel, quadrature over the t grid of mu * J * g(phi(t,x), t)
   with J = |grad phi| and interpolation of g along s.
-* interpolation defaults to interpolating cubic B-splines for both the image
-  and the s axis; bilinear/linear is available via ``interp='linear'`` but
-  its tent-kernel response attenuates the top of the measured frequency band
-  enough to skew the order -1 slope gate by about -0.15.
+* interpolation is by interpolating cubic B-splines, for both the image and
+  the s axis.
 
 The forward for a fixed geometry is built once as a *plan* (traced sample
 points with trapezoid weights) and assembled with it into a sparse matrix M
@@ -80,8 +77,6 @@ from .geometry import (
     _transpose_apply,
 )
 from .microlocal import solve_time_for_direction
-
-_SPLINE_ORDER = {"linear": 1, "cubic": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +312,7 @@ def build_default_atlas(pf, support_radius, n_charts, n_dirs=24, coverage_min=0.
         atlas = CutoffAtlas.trivial()
     else:
         centers = np.linspace(-support_radius, support_radius, n_charts + 2)[1:-1]
-        spacing_c = centers[1] - centers[0] if n_charts > 1 else 2 * support_radius
-        radius = 1.45 * spacing_c
+        radius = 1.45 * (centers[1] - centers[0])
         charts = []
         boundary = np.linspace(0.0, TWO_PI, 24, endpoint=False)
         t_probe = np.linspace(lo, hi, 32, endpoint=False)
@@ -396,28 +390,25 @@ class _ForwardPlan:
     bands: _RowBands          # how ``matrix`` is applied
 
 
-def _spline_taps(c, n, order):
-    """Tap indices and weights, each of shape (order + 1, m), with which
-    ``map_coordinates(order=order, prefilter=False)`` reads the coordinates
+def _spline_taps(c, n):
+    """Tap indices and weights, each of shape (4, m), with which
+    ``map_coordinates(order=3, prefilter=False)`` reads the coordinates
     ``c`` (all inside [0, n - 1]) of an axis of length n.  Taps beyond the
     grid are folded back by reflection about the edge samples."""
     fl = np.floor(c)
     u = c - fl
-    start = fl.astype(np.int64) - order // 2
+    start = fl.astype(np.int64) - 1
     v = 1.0 - u
-    if order == 1:
-        w = np.stack([v, u])
-    else:
-        # cubic B-spline: u^3/6, 2/3 - u^2 + u^3/2 and their mirror images
-        u2 = u * u
-        v2 = v * v
-        w = np.empty((4, len(c)))
-        np.multiply(v2, v / 6.0, out=w[0])
-        np.multiply(u2, u / 6.0, out=w[3])
-        w[1] = 2.0 / 3.0 - u2 + 3.0 * w[3]
-        w[2] = 2.0 / 3.0 - v2 + 3.0 * w[0]
-    idx = start + np.arange(order + 1)[:, None]
-    edge = np.flatnonzero((start < 0) | (start > n - 1 - order))
+    # cubic B-spline: u^3/6, 2/3 - u^2 + u^3/2 and their mirror images
+    u2 = u * u
+    v2 = v * v
+    w = np.empty((4, len(c)))
+    np.multiply(v2, v / 6.0, out=w[0])
+    np.multiply(u2, u / 6.0, out=w[3])
+    w[1] = 2.0 / 3.0 - u2 + 3.0 * w[3]
+    w[2] = 2.0 / 3.0 - v2 + 3.0 * w[0]
+    idx = start + np.arange(4)[:, None]
+    edge = np.flatnonzero((start < 0) | (start > n - 4))
     if len(edge):
         period = max(2 * n - 2, 1)
         folded = np.abs(idx[:, edge]) % period
@@ -425,12 +416,10 @@ def _spline_taps(c, n, order):
     return idx, w
 
 
-def _prefilter_matrix(n, order):
-    """The spline prefilter along an axis of length n as a dense matrix
-    (the identity for linear interpolation, which needs none)."""
-    if order == 1:
-        return np.eye(n)
-    return ndimage.spline_filter1d(np.eye(n), order=order, axis=0, mode="constant")
+def _prefilter_matrix(n):
+    """The cubic spline prefilter along an axis of length n as a dense
+    matrix."""
+    return ndimage.spline_filter1d(np.eye(n), order=3, axis=0, mode="constant")
 
 
 # Scratch memory of one assembly block, per thread.  A block of M holds at
@@ -726,23 +715,18 @@ def _matrix_stats(name, matrix, seconds):
                                  + matrix.indptr.nbytes)}
 
 
-# Trapezoid step along the plan's traced curves, in pixels, per spline.
-# The rule's error is the aliasing of the integrand's spectrum at the
-# sampling rate, and a cubic spline on the pixel grid has no detail finer
-# than a pixel, so one pixel is the largest step that moves no oracle
-# reading.  Disk oracle (relative L2, nt = 60; 64^2 with ns = 68 / 128^2
-# with ns = 135):
+# Trapezoid step along the plan's traced curves, in pixels.  The rule's
+# error is the aliasing of the integrand's spectrum at the sampling rate,
+# and a cubic spline on the pixel grid has no detail finer than a pixel, so
+# one pixel is the largest step that moves no oracle reading.  Disk oracle
+# (relative L2, nt = 60; 64^2 with ns = 68 / 128^2 with ns = 135):
 #
 #   step     static          rotation 0.3    breathing 0.05  fan R = 3
 #   1/2 px   0.0088/0.0044   0.0089/0.0043   0.0091/0.0057   0.0086/0.0041
 #   1 px     0.0088/0.0044   0.0089/0.0043   0.0091/0.0057   0.0086/0.0041
 #   1.5 px   0.0090/0.0046   0.0092/0.0044   0.0095/0.0058   0.0091/0.0044
 #   2 px     0.0156/0.0069   0.0160/0.0068   0.0135/0.0085   0.0152/0.0069
-#
-# The bilinear tent has a kink at every pixel line, where the rule
-# converges only as step^2: at one pixel the static oracle moves from
-# 0.0099 to 0.0100 (64^2), so the linear spline keeps half a pixel.
-_PLAN_STEP_PX = {"cubic": 1.0, "linear": 0.5}
+_PLAN_STEP_PX = 1.0
 # Trapezoid step along the straight lines of ``integrate_lines``, in pixels.
 # These lines are the Lagrangian reference the plan is checked against and
 # synthesize fan rays, so they keep half a pixel: there the rule is within
@@ -771,10 +755,10 @@ class LevelSetTransform:
       ``A* g = K vec((S_s G)^T)``.
 
     The plan samples each curve once per pixel of arc length (``step`` =
-    ``spacing``; half a pixel with ``interp='linear'``): a cubic spline on
-    the pixel grid has no detail finer than that, so the trapezoid rule has
-    converged there, within 5e-4 (relative L2) of a quarter-pixel rule and
-    20 times below the discretization error of the disk oracles.
+    ``spacing``): a cubic spline on the pixel grid has no detail finer than
+    that, so the trapezoid rule has converged there, within 5e-4 (relative
+    L2) of a quarter-pixel rule and 20 times below the discretization error
+    of the disk oracles.
 
     ``K`` is a separate quadrature, not ``M^T``; the two agree to the
     duality tolerance.  M is assembled in row blocks of at most ``chunk_t``
@@ -795,15 +779,19 @@ class LevelSetTransform:
     matrix (``m`` for M, ``k`` for K) ``<m|k>_assembly_s``, ``<m|k>_nnz``
     and ``<m|k>_bytes`` (its CSR arrays), plus ``workers`` as of the latest
     build.
+
+    ``interp`` accepts only ``"cubic"``, the one spline of both matrices;
+    the keyword stays so that callers and configurations naming it still
+    work.
     """
 
     def __init__(self, pf, mu, image_like, sino_spec, *, interp="cubic", chunk_t=4,
                  nan_budget=1e-3):
         self.pf = pf
         self.mu = mu
-        self.interp = interp
-        if interp not in _SPLINE_ORDER:
-            raise ValueError("interp must be 'cubic' or 'linear'")
+        if interp != "cubic":
+            raise ValueError(f"interp must be 'cubic', got {interp!r}: the bilinear "
+                             "spline was removed")
         self.chunk_t = int(chunk_t)
         if self.chunk_t < 1:
             raise ValueError("chunk_t must be >= 1")
@@ -813,12 +801,11 @@ class LevelSetTransform:
         self.spacing = image_like.spacing
         self.origin = np.asarray(image_like.origin, dtype=float)
         self.support_radius = image_like.support_radius
-        self.step = _PLAN_STEP_PX[interp] * self.spacing
+        self.step = _PLAN_STEP_PX * self.spacing
         self.s_grid, self.t_grid = build_sinogram_grids(pf, sino_spec, self.support_radius)
-        order = _SPLINE_ORDER[interp]
-        self._prefilter_x = _prefilter_matrix(self.nx, order)
-        self._prefilter_y = _prefilter_matrix(self.ny, order)
-        self._prefilter_s = _prefilter_matrix(len(self.s_grid), order)
+        self._prefilter_x = _prefilter_matrix(self.nx)
+        self._prefilter_y = _prefilter_matrix(self.ny)
+        self._prefilter_s = _prefilter_matrix(len(self.s_grid))
         self._plan = None
         self._adj_tables = None
         self._adj_bands = None
@@ -940,7 +927,6 @@ class LevelSetTransform:
         or the thread.  The blocks run on the threads of ``_run_blocks`` and
         are appended to M in row order.
         """
-        order = _SPLINE_ORDER[self.interp]
         n_curves = len(self.s_grid) * len(self.t_grid)
         npx = self.nx * self.ny
         # 8 bytes of accumulator and 1 of nonzero mask per (row, pixel)
@@ -965,12 +951,12 @@ class LevelSetTransform:
             cy = (points[sel, 1] - self.origin[1]) / self.spacing
             # map_coordinates(mode="constant") reads zero outside [0, n - 1]
             inside = (cx >= 0.0) & (cx <= self.nx - 1) & (cy >= 0.0) & (cy <= self.ny - 1)
-            ix, wx = _spline_taps(cx[inside], self.nx, order)
-            iy, wy = _spline_taps(cy[inside], self.ny, order)
+            ix, wx = _spline_taps(cx[inside], self.nx)
+            iy, wy = _spline_taps(cy[inside], self.ny)
             sel = sel[inside]
             cwx = coeff[sel] * wx
             # every tap pair's entries, tap pair by tap pair
-            rows = np.tile(ids[sel] - r0, (order + 1) ** 2)
+            rows = np.tile(ids[sel] - r0, 16)
             cols = ((ix * self.ny)[:, None, :] + iy[None, :, :]).ravel()
             vals = (cwx[:, None, :] * wy[None, :, :]).ravel()
             nrows = min(rows_per_block, n_curves - r0)
@@ -1053,9 +1039,8 @@ class LevelSetTransform:
         s0 = self.s_grid[0]
         ds = self.s_grid[1] - self.s_grid[0]
         dt = float(self.t_grid[1] - self.t_grid[0]) if nt > 1 else 1.0
-        order = _SPLINE_ORDER[self.interp]
         # about 80 bytes of scratch per (pixel, time, s-tap)
-        px_per_block = max(1, _BLOCK_BYTES // (80 * (order + 1) * nt))
+        px_per_block = max(1, _BLOCK_BYTES // (80 * 4 * nt))
         n_blocks = -(-npx // px_per_block)
 
         def block(b):
@@ -1069,13 +1054,13 @@ class LevelSetTransform:
                   * np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]))
             flat = np.flatnonzero(np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0))
             pix = flat // nt
-            idx, w = _spline_taps(sc.ravel()[flat], ns, order)
+            idx, w = _spline_taps(sc.ravel()[flat], ns)
             # a pixel's entries by time, then by tap
-            return (np.bincount(pix, minlength=len(x)) * (order + 1),
+            return (np.bincount(pix, minlength=len(x)) * 4,
                     ((flat - pix * nt) * ns + idx).T.ravel(),
                     (dt * wj.ravel()[flat] * w).T.ravel())
 
-        matrix = _RowBlocks(ns * nt, (order + 1) * npx * nt, rows=npx)
+        matrix = _RowBlocks(ns * nt, 4 * npx * nt, rows=npx)
         _run_blocks(n_blocks, block, min(_worker_count(), n_blocks),
                     consume=lambda entries: matrix.append(*entries))
         self._adj_tables = matrix.tocsr()
@@ -1148,9 +1133,7 @@ def integrate_lines(f, s_vals, beta_vals, motion=None, mu_material=None):
     r = f.support_radius + 4 * f.spacing
     n_tau = int(math.ceil(2 * r / h)) + 1
     tau = np.linspace(-r, r, n_tau)
-    order = _SPLINE_ORDER["cubic"]
-    vals = ndimage.spline_filter(np.asarray(f.values, dtype=float), order=order,
-                                 mode="constant")
+    vals = ndimage.spline_filter(np.asarray(f.values, dtype=float), order=3, mode="constant")
 
     out = np.zeros(n)
     chunk = max(1, int(4e6 // n_tau))
@@ -1171,7 +1154,7 @@ def integrate_lines(f, s_vals, beta_vals, motion=None, mu_material=None):
              (xpts[..., 1] - f.origin[1]) / f.spacing], axis=0
         )
         samples = ndimage.map_coordinates(
-            vals, coords.reshape(2, -1), order=order, mode="constant",
+            vals, coords.reshape(2, -1), order=3, mode="constant",
             cval=0.0, prefilter=False,
         ).reshape(zx.shape)
         if mu_material is not None:

@@ -153,6 +153,7 @@ def test_config_roundtrip_bit_exact():
     {"sinogram": {"ns": 16, "rows": 2}},
     {"unknown_top": True},
     {"t_range": [2.0, 1.0]},
+    {"interp": "linear"},
 ])
 def test_config_rejects_unknown_keys(raw):
     with pytest.raises(ConfigError):
@@ -343,6 +344,21 @@ def test_cli_bad_config_exit_2(tmp_path):
         bad.write_text(json.dumps(raw))
         assert main(["adjoint-test", "--config", str(bad),
                      "--out-dir", str(tmp_path / "o")]) == 2, raw
+    # the removed bilinear spline, and ranges and phantom entries that once
+    # crashed `phantom` or `forward` with a traceback, or ran on a
+    # descending s grid or an infinite t range
+    ellipse = {"center": [0.0, 0.1], "semi_axes": [0.3, 0.2]}
+    for raw in ({"interp": "linear"}, {"t_range": 5}, {"t_range": ["a", 1]}, {"t_range": [0]},
+                {"t_range": [0, "inf"]}, {"sinogram": {"s_range": [1]}},
+                {"sinogram": {"s_range": [1, -1]}},
+                {"phantom": [{"semi_axes": [0.3, 0.2]}]},
+                {"phantom": [dict(ellipse, center=[0.0, "x"])]},
+                {"phantom": [dict(ellipse, semi_axes=[0.3, 0.0])]},
+                {"phantom": [ellipse, 3]}):
+        bad.write_text(json.dumps(raw))
+        for command in (["phantom"], ["forward", "--image", str(tmp_path / "none.grid")]):
+            assert main(command + ["--config", str(bad),
+                                   "--out-dir", str(tmp_path / "o")]) == 2, (command, raw)
 
 
 def test_cli_limited_angle_visibility_exit_4(tmp_path):

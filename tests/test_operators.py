@@ -159,15 +159,12 @@ def test_disk_chord_oracle_fine_s_dynamic_and_fan(case, ns):
     assert _disk_oracle_error(case, 64, ns) < 0.01
 
 
-@pytest.mark.parametrize("interp, pixels", [("cubic", 1.0), ("linear", 0.5)])
-def test_plan_samples_each_curve_once_per_pixel(static_pf, interp, pixels):
-    """The plan's trapezoid rule runs at one-pixel steps, and at half-pixel
-    ones for the bilinear tent.  A static curve is a line, and its stored
-    points, sorted along it, lie that step apart; the start point, which
-    both walks emit, is stored twice."""
+def test_plan_samples_each_curve_once_per_pixel(static_pf):
+    """The plan's trapezoid rule runs at one-pixel steps.  A static curve is
+    a line, and its stored points, sorted along it, lie one pixel apart;
+    the start point, which both walks emit, is stored twice."""
     img = make_image_grid(32)
-    tr = LevelSetTransform(static_pf, UnitWeight(), img, SinoSpec(ns=35, nt=48),
-                           interp=interp)
+    tr = LevelSetTransform(static_pf, UnitWeight(), img, SinoSpec(ns=35, nt=48))
     plan, ns = tr.plan, len(tr.s_grid)
     order = np.argsort(plan.curve_id, kind="stable")
     bounds = np.searchsorted(plan.curve_id[order], np.arange(plan.n_curves + 1))
@@ -179,7 +176,7 @@ def test_plan_samples_each_curve_once_per_pixel(static_pf, interp, pixels):
         t = tr.t_grid[row // ns]
         gaps = np.diff(np.sort(pts[:, 1] * math.cos(t) - pts[:, 0] * math.sin(t)))
         assert np.count_nonzero(gaps == 0.0) == 1
-        np.testing.assert_allclose(gaps[gaps > 0.0], pixels * img.spacing, rtol=1e-9)
+        np.testing.assert_allclose(gaps[gaps > 0.0], img.spacing, rtol=1e-9)
         checked += 1
     assert checked > 0.8 * plan.n_curves
 
@@ -190,8 +187,7 @@ def test_plan_quadrature_converged(case, monkeypatch):
     on a smooth field and on an off-centre disk, at 32^2: relative L2
     difference at most 1e-3, measured 3.9e-4 to 4.4e-4 (smooth field) and
     1.5e-4 to 1.7e-4 (disk) across the cases, about 20 times below the
-    disk oracles' discretization error at 64^2.  (The bilinear plan, at
-    half a pixel, differs by 1.6e-3 and 7e-4: its integrand has kinks.)"""
+    disk oracles' discretization error at 64^2."""
     from curvetomo import operators
 
     pf, mu, kw = _geometry(case)
@@ -206,7 +202,7 @@ def test_plan_quadrature_converged(case, monkeypatch):
         return tr.forward(img.like(fields)).values
 
     plan_step = forward()
-    monkeypatch.setitem(operators._PLAN_STEP_PX, "cubic", 0.25)
+    monkeypatch.setattr(operators, "_PLAN_STEP_PX", 0.25)
     fine = forward()
     failed = np.isnan(plan_step)
     assert np.array_equal(failed, np.isnan(fine))
@@ -355,16 +351,12 @@ def test_adjoint_duality_variants(case, static_pf):
     assert abs(Af.inner(g) - f.inner(bp)) / (Af.norm() * g.norm()) < 1e-3
 
 
-def test_adjoint_duality_linear_interp(static_pf):
-    """The bilinear/linear option preserves the duality contract."""
-    img = make_image_grid(48)
-    tr = LevelSetTransform(static_pf, UnitWeight(), img, SinoSpec(ns=53, nt=90),
-                           interp="linear")
-    f = smooth_field(img, 7)
-    g = smooth_sino(tr, 8)
-    Af = tr.forward(f)
-    bp = tr.adjoint(g)
-    assert abs(Af.inner(g) - f.inner(bp)) / (Af.norm() * g.norm()) < 1e-3
+def test_bilinear_interp_is_refused(static_pf):
+    """The bilinear spline was removed: asking for it is an error, not a
+    silent cubic transform."""
+    with pytest.raises(ValueError, match="bilinear"):
+        LevelSetTransform(static_pf, UnitWeight(), make_image_grid(16), SinoSpec(ns=9, nt=8),
+                          interp="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +452,7 @@ def _stack(grid, slices):
     return grid.like(np.stack([s.values for s in slices]))
 
 
-@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "linear"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
 def test_stacks_equal_their_slices(case):
     """forward and adjoint on stacks of 1, 3 and 4 slices, and on a (2, 2)
     stack, give every slice the bytes of that slice alone.  Failed curves
@@ -677,20 +669,14 @@ def test_one_shot_wrappers_match_transform(small_transform, static_pf):
 # assembled matrices against the point-gather forward and per-time adjoint
 # ---------------------------------------------------------------------------
 
-_ORDER = {"linear": 1, "cubic": 3}
-
-
 def _gather_forward(tr, f):
     """Reference forward: spline-prefilter the image, interpolate it at every
     plan point, sum the weighted samples per curve; failed curves are NaN."""
     plan = tr.plan
-    order = _ORDER[tr.interp]
-    vals = np.asarray(f.values, dtype=float)
-    if order > 1:
-        vals = ndimage.spline_filter(vals, order=order, mode="constant")
+    vals = ndimage.spline_filter(np.asarray(f.values, dtype=float), order=3, mode="constant")
     coords = np.stack([(plan.points[:, 0] - tr.origin[0]) / tr.spacing,
                        (plan.points[:, 1] - tr.origin[1]) / tr.spacing])
-    samples = ndimage.map_coordinates(vals, coords, order=order, mode="constant",
+    samples = ndimage.map_coordinates(vals, coords, order=3, mode="constant",
                                       cval=0.0, prefilter=False)
     acc = np.bincount(plan.curve_id, weights=plan.coeff * samples, minlength=plan.n_curves)
     out = acc.reshape(len(tr.t_grid), len(tr.s_grid)).T.copy()
@@ -701,7 +687,6 @@ def _gather_forward(tr, f):
 def _quadrature_adjoint(tr, g):
     """Reference adjoint: per time, interpolate the prefiltered data column
     at phi(t, pixel) and accumulate dt * mu * J times it."""
-    order = _ORDER[tr.interp]
     pts = tr._pixel_points()
     s0, ds, ns = tr.s_grid[0], tr.s_grid[1] - tr.s_grid[0], len(tr.s_grid)
     total = np.zeros(len(pts))
@@ -710,11 +695,10 @@ def _quadrature_adjoint(tr, g):
         sc = (np.where(mask, tr.pf._eval_raw(t, pts), np.nan) - s0) / ds
         grad = tr.pf._grad_x_raw(t, pts)
         w = np.asarray(tr.mu(t, pts), dtype=float) * np.hypot(grad[:, 0], grad[:, 1])
-        col = np.nan_to_num(np.asarray(g.values[:, j], dtype=float))
-        if order > 1:
-            col = ndimage.spline_filter1d(col, order=order, mode="constant")
+        col = ndimage.spline_filter1d(np.nan_to_num(np.asarray(g.values[:, j], dtype=float)),
+                                      order=3, mode="constant")
         valid = np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0)
-        v = ndimage.map_coordinates(col, np.where(valid, sc, 0.0)[None], order=order,
+        v = ndimage.map_coordinates(col, np.where(valid, sc, 0.0)[None], order=3,
                                     mode="constant", cval=0.0, prefilter=False)
         total += np.where(valid, v * w, 0.0)
     dt = tr.t_grid[1] - tr.t_grid[0]
@@ -728,16 +712,14 @@ def _geometry(case):
         return make_dynamic_phase(RotationMotion(0.3)), UnitWeight(), {}
     if case == "breathing_bump":
         return make_dynamic_phase(BreathingMotion(0.05)), BumpWeight(amplitude=0.3), {}
-    if case == "fan":
-        return make_fanbeam_phase(3.0), UnitWeight(), {"nan_budget": 0.05}
-    return make_static_phase(), UnitWeight(), {"interp": "linear"}
+    return make_fanbeam_phase(3.0), UnitWeight(), {"nan_budget": 0.05}
 
 
 def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "linear"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
 def test_matrices_match_reference(case):
     pf, mu, kw = _geometry(case)
     img = make_image_grid(32)
@@ -812,7 +794,7 @@ def test_breathing_adjoint_inverts_motion_once_per_block(monkeypatch):
     assert sum(calls) == 32 * 32 * nt
 
 
-@pytest.mark.parametrize("case", ["static", "fan", "linear"])
+@pytest.mark.parametrize("case", ["static", "fan"])
 def test_matrix_indices_in_range(case):
     """Spline taps beyond the grid edge are folded back onto it."""
     pf, mu, kw = _geometry(case)
@@ -1050,7 +1032,7 @@ def _banded_outputs(case, workers, monkeypatch):
     return out
 
 
-@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "linear"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
 def test_banded_products_bit_identical_for_any_worker_count(case, monkeypatch):
     """One band, or 8 or 12 bands taken by two or three threads, give the
     same bytes: every row is summed by the same kernel in the same order."""
