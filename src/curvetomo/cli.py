@@ -418,7 +418,10 @@ def build_parser():
     common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--iters", type=int, default=50)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=1e-6,
+                    help="CG stops once the residual, in the ramp preconditioner's "
+                         "norm and relative to the right-hand side's, is below this "
+                         "(default 1e-6; Landweber ignores it)")
     sp.add_argument("--tikhonov", type=float, default=0.0)
     sp.add_argument("--solver", choices=("cg", "landweber"), default="cg")
 

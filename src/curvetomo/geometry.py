@@ -415,9 +415,9 @@ class BumpWeight(Weight):
     name = "bump"
 
     def __init__(self, amplitude=0.1, center=(0.2, -0.1), width=0.6):
-        if amplitude <= -0.66:
-            raise ValueError("weight must stay positive")
         self.amplitude = float(amplitude)
+        if self.amplitude <= -0.66:
+            raise ValueError("weight must stay positive")
         self.center = np.asarray(center, dtype=float)
         self.width = float(width)
 

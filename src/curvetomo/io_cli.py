@@ -136,6 +136,7 @@ _TOP_KEYS = {"phase", "weight", "t_range", "image", "sinogram", "atlas", "seed",
 _IMAGE_KEYS = {"nx", "support_radius"}
 _SINO_KEYS = {"ns", "nt", "s_range"}
 _ATLAS_KEYS = {"n_charts"}
+_ELLIPSE_KEYS = {"center", "semi_axes", "angle", "density"}
 
 
 def _reject_unknown(d, allowed, where):
@@ -153,9 +154,22 @@ def _check_number(d, key, where, minimum, kind=int):
         value = kind(d[key])
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be a number, got {d[key]!r}") from None
-    if not (math.isfinite(value) and value >= minimum):
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {d[key]!r}")
+    if value < minimum:
         raise ConfigError(f"{where}.{key} must be at least {minimum}, got {d[key]!r}")
     return value
+
+
+def _check_real(d, key, where):
+    """``_check_number`` for a float of any sign."""
+    return _check_number(d, key, where, -math.inf, kind=float)
+
+
+def _check_positive(d, key, where):
+    """``_check_number`` for a float that must be above 0."""
+    if _check_number(d, key, where, 0.0, kind=float) == 0.0:
+        raise ConfigError(f"{where}.{key} must be positive, got {d[key]!r}")
 
 
 def _finite_pair(value):
@@ -180,10 +194,14 @@ def _check_range(value, where):
 
 
 def _check_ellipse(e, where):
-    """ConfigError unless the phantom entry ``e`` has a numeric center pair
-    and a positive semi_axes pair."""
+    """ConfigError unless the phantom entry ``e`` has only known keys, a
+    numeric center pair, a positive semi_axes pair and, if given, a numeric
+    angle and density."""
     if not isinstance(e, dict):
         raise ConfigError(f"{where} must be an object, got {e!r}")
+    _reject_unknown(e, _ELLIPSE_KEYS, where)
+    _check_real(e, "angle", where)
+    _check_real(e, "density", where)
     if _finite_pair(e.get("center")) is None:
         raise ConfigError(f"{where}.center must be two numbers, got {e.get('center')!r}")
     axes = _finite_pair(e.get("semi_axes"))
@@ -218,18 +236,32 @@ class GeometryConfig:
         if fam not in _PHASE_KEYS:
             raise ConfigError(f"unknown phase family {fam!r}")
         _reject_unknown(phase, _PHASE_KEYS[fam], f"phase ({fam})")
+        # each family's numbers are checked here; the ranges that depend on
+        # several of them are checked by the constructors in build_geometry
         if fam == "dynamic":
             motion = dict(phase.get("motion", {"name": "identity"}))
             name = motion.get("name")
             if name not in _MOTION_KEYS:
                 raise ConfigError(f"unknown motion family {name!r}")
             _reject_unknown(motion, _MOTION_KEYS[name], f"motion ({name})")
+            for key in sorted(_MOTION_KEYS[name] - {"name"}):
+                _check_real(motion, key, f"motion ({name})")
             phase["motion"] = motion
+        elif fam == "fanbeam":
+            _check_positive(phase, "R", "phase (fanbeam)")
+            _check_positive(phase, "support_radius", "phase (fanbeam)")
+            _check_number(phase, "t_margin", "phase (fanbeam)", 0.0, kind=float)
         weight = dict(raw.get("weight", {"name": "unit"}))
         wname = weight.get("name")
         if wname not in _WEIGHT_KEYS:
             raise ConfigError(f"unknown weight family {wname!r}")
         _reject_unknown(weight, _WEIGHT_KEYS[wname], f"weight ({wname})")
+        if wname == "bump":
+            _check_real(weight, "amplitude", "weight (bump)")
+            _check_positive(weight, "width", "weight (bump)")
+            if "center" in weight and _finite_pair(weight["center"]) is None:
+                raise ConfigError(f"weight (bump).center must be two numbers, "
+                                  f"got {weight['center']!r}")
         image = dict(raw.get("image", {"nx": 64, "support_radius": 1.0}))
         _reject_unknown(image, _IMAGE_KEYS, "image")
         sinogram = dict(raw.get("sinogram", {}))
@@ -239,8 +271,7 @@ class GeometryConfig:
         # the smallest sizes the transform and its grids can use: two
         # pixels, and two samples per axis to give a spacing
         _check_number(image, "nx", "image", 2)
-        if _check_number(image, "support_radius", "image", 0.0, kind=float) == 0.0:
-            raise ConfigError("image.support_radius must be positive")
+        _check_positive(image, "support_radius", "image")
         _check_number(sinogram, "ns", "sinogram", 2)
         _check_number(sinogram, "nt", "sinogram", 2)
         _check_number(atlas, "n_charts", "atlas", 1)
@@ -286,35 +317,41 @@ class GeometryConfig:
 
 
 def build_geometry(config):
-    """Instantiate (phase, weight, sino_spec, image factory) from a config."""
+    """Instantiate (phase, weight, sino_spec, image factory) from a config.
+
+    A range the constructors refuse, such as a fan source inside the domain
+    or a breathing amplitude that folds the motion, is a ConfigError."""
     phase_cfg = config.phase
     fam = phase_cfg["family"]
     image_kw = {"nx": int(config.image.get("nx", 64)),
                 "support_radius": float(config.image.get("support_radius", 1.0))}
-    if fam == "static":
-        pf = make_static_phase()
-    elif fam == "dynamic":
-        mcfg = dict(phase_cfg["motion"])
-        name = mcfg.pop("name")
-        motion = make_motion(name, **mcfg)
-        pf = make_dynamic_phase(motion, use_analytic=phase_cfg.get("use_analytic", True))
-    else:
-        pf = make_fanbeam_phase(
-            float(phase_cfg.get("R", 3.0)),
-            support_radius=float(phase_cfg.get("support_radius",
-                                               1.05 * image_kw["support_radius"])),
-            t_margin=float(phase_cfg.get("t_margin", 0.05)),
-        )
-    if config.t_range is not None:
-        pf.t_range = tuple(config.t_range)
     wcfg = dict(config.weight)
     wname = wcfg.pop("name")
-    if wname == "unit":
-        mu = UnitWeight()
-    else:
-        if "center" in wcfg:
-            wcfg["center"] = tuple(wcfg["center"])
-        mu = BumpWeight(**wcfg)
+    try:
+        if fam == "static":
+            pf = make_static_phase()
+        elif fam == "dynamic":
+            mcfg = dict(phase_cfg["motion"])
+            name = mcfg.pop("name")
+            motion = make_motion(name, **mcfg)
+            pf = make_dynamic_phase(motion, use_analytic=phase_cfg.get("use_analytic", True))
+        else:
+            pf = make_fanbeam_phase(
+                float(phase_cfg.get("R", 3.0)),
+                support_radius=float(phase_cfg.get("support_radius",
+                                                   1.05 * image_kw["support_radius"])),
+                t_margin=float(phase_cfg.get("t_margin", 0.05)),
+            )
+        if wname == "unit":
+            mu = UnitWeight()
+        else:
+            if "center" in wcfg:
+                wcfg["center"] = tuple(wcfg["center"])
+            mu = BumpWeight(**wcfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if config.t_range is not None:
+        pf.t_range = tuple(config.t_range)
     nx = image_kw["nx"]
     sino = config.sinogram
     spec = SinoSpec(

@@ -1,13 +1,18 @@
 """Iterative inversion through the normal equations and empirical probes of
 the stability and perturbation estimates.
 
-The solver works on the symmetrized normal operator.  Because the discrete
-forward and adjoint are independent quadratures (not exact transposes, they
-agree to the duality tolerance), the Krylov update uses the residual-minimal
-step length (conjugate-residual form): the recorded residual history is then
-non-increasing by construction, which classic conjugate-gradient steps only
-guarantee under exact symmetry.  Landweber iteration is provided as a
-fallback that tolerates indefiniteness outright.
+The solver works on the symmetrized normal operator N, preconditioned by the
+order +1 ramp multiplier P^-1 = sqrt(1 + |k|^2) (k in cycles per grid).  N
+is elliptic of order -1 under visibility, local Bolker and no conjugate
+points, so P^-1 N is of order 0 and its conditioning should not grow with
+the grid (Clinthorne et al., IEEE TMI 12, 1993; Fessler & Booth, IEEE TIP 8,
+1999).  Because the discrete forward and adjoint are independent quadratures
+(not exact transposes, they agree to the duality tolerance), every Krylov
+step takes the length that minimizes the residual in the P^-1 norm
+(preconditioned conjugate-residual form): the recorded residual history is
+then non-increasing for any search direction, which classic
+conjugate-gradient steps only guarantee under exact symmetry.  Landweber
+iteration is provided as a fallback that tolerates indefiniteness outright.
 """
 
 from __future__ import annotations
@@ -82,15 +87,38 @@ def _support_mask(img):
     return np.hypot(X[..., 0], X[..., 1]) <= img.support_radius
 
 
+def _ramp_preconditioner(mask):
+    """P^-1 v = mask * irfft2(rfft2(v) * sqrt(1 + |k|^2)) for masked v, with
+    k in cycles per grid.  The symbol is real, even and at least 1, so P^-1
+    is symmetric and positive definite on the support."""
+    nx, ny = mask.shape
+    kx = np.fft.fftfreq(nx) * nx
+    ky = np.fft.rfftfreq(ny) * ny
+    symbol = np.sqrt(1.0 + kx[:, None] ** 2 + ky[None, :] ** 2)
+
+    def apply(v):
+        return np.fft.irfft2(np.fft.rfft2(v) * symbol, s=(nx, ny)) * mask
+
+    return apply
+
+
 def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=None,
                     divergence_patience=5):
     """Solve N_sym f = B g for the symmetrized, support-restricted normal
-    equations by a conjugate-direction iteration with residual-minimal steps.
+    equations by a preconditioned conjugate-residual iteration.
 
-    Returns (ImageGrid, SolveReport).  Residual history is relative to the
-    right-hand side and non-increasing; DivergenceError is raised after
-    ``divergence_patience`` consecutive increases (only reachable through
-    severe operator asymmetry or indefiniteness, e.g. a Bolker failure).
+    The preconditioner is the ramp multiplier P^-1 = sqrt(1 + |k|^2) of
+    ``_ramp_preconditioner``.  Each step length minimizes ||r - alpha N p||
+    in the P^-1 norm <r, P^-1 r>, so the residual in that norm cannot rise
+    for any search direction, even when N is only nearly symmetric.  Each
+    iteration costs one normal apply and one P^-1.
+
+    Returns (ImageGrid, SolveReport).  ``residual_history`` is the residual
+    in the P^-1 norm relative to the right-hand side's,
+    sqrt(<r, P^-1 r> / <b, P^-1 b>); it is non-increasing, and ``tol``
+    applies to it.  DivergenceError is raised after ``divergence_patience``
+    consecutive increases; with residual-minimal steps only rounding can
+    make the history rise.
 
     ``SolveReport.runtime`` is the wall time of the whole call.  On a
     transform not yet used it includes the lazy set-up: ``back_data``
@@ -98,11 +126,9 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
     ``iteration_s`` times the iterations alone.
     """
     t_start = time.perf_counter()
-    tr = normal_op.transform
     b_img = normal_op.back_data(g)
     mask = _support_mask(b_img)
     b = b_img.values * mask
-    b_norm = math.sqrt(np.sum(b * b))
     shape = b.shape
 
     def apply_N(vec):
@@ -113,35 +139,40 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
 
     f = np.zeros(shape)
     history = []
-    if b_norm == 0.0:
+    if not np.any(b):
         report = SolveReport(iterations=0, residual_history=[], rel_error_vs_truth=None,
                              runtime=time.perf_counter() - t_start, converged=True)
         if truth is not None:
             report.rel_error_vs_truth = 1.0 if truth.norm() > 0 else 0.0
         return b_img.like(f), report
 
+    precondition = _ramp_preconditioner(mask)
     r = b.copy()
-    Nr = apply_N(r)
-    p = r.copy()
-    Np = Nr.copy()
-    rho = float(np.sum(r * Nr))
+    z = precondition(r)
+    b_norm = math.sqrt(float(np.sum(b * z)))
+    Nz = apply_N(z)
+    p = z.copy()
+    Np = Nz.copy()
+    PNp = precondition(Np)
+    rho = float(np.sum(z * Nz))
     rises = 0
-    prev = math.sqrt(np.sum(r * r)) / b_norm
+    prev = 1.0
     history.append(prev)
     converged = prev < tol
     it = 0
     iteration_s = []
     while it < max_iter and not converged:
         t_iter = time.perf_counter()
-        denom = float(np.sum(Np * Np))
+        denom = float(np.sum(Np * PNp))
         if denom <= 0.0:
             break
-        # residual-minimal step along N p: keeps ||r|| non-increasing even
-        # under the small forward/adjoint quadrature asymmetry
-        alpha = float(np.sum(r * Np)) / denom
+        # residual-minimal step along N p in the P^-1 norm: keeps <r, z>
+        # non-increasing even under the small forward/adjoint asymmetry
+        alpha = float(np.sum(z * Np)) / denom
         f = f + alpha * p
         r = r - alpha * Np
-        res = math.sqrt(np.sum(r * r)) / b_norm
+        z = z - alpha * PNp
+        res = math.sqrt(max(float(np.sum(r * z)), 0.0)) / b_norm
         if res > prev + 1e-10:
             rises += 1
             if rises >= divergence_patience:
@@ -156,11 +187,12 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
         if res < tol:
             converged = True
         else:
-            Nr = apply_N(r)
-            rho_new = float(np.sum(r * Nr))
+            Nz = apply_N(z)
+            rho_new = float(np.sum(z * Nz))
             beta = rho_new / rho if abs(rho) > 0 else 0.0
-            p = r + beta * p
-            Np = Nr + beta * Np
+            p = z + beta * p
+            Np = Nz + beta * Np
+            PNp = precondition(Nz) + beta * PNp
             rho = rho_new
         iteration_s.append(time.perf_counter() - t_iter)
 

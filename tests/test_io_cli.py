@@ -354,9 +354,23 @@ def test_cli_bad_config_exit_2(tmp_path):
                 {"phantom": [{"semi_axes": [0.3, 0.2]}]},
                 {"phantom": [dict(ellipse, center=[0.0, "x"])]},
                 {"phantom": [dict(ellipse, semi_axes=[0.3, 0.0])]},
-                {"phantom": [ellipse, 3]}):
+                {"phantom": [ellipse, 3]},
+                # family numbers and phantom keys that once crashed with a
+                # traceback, or, for the misspelt "angel", were ignored
+                {"phase": {"family": "dynamic", "motion": {"name": "rotation", "rate": "x"}}},
+                {"weight": {"name": "bump", "center": 5}},
+                {"phantom": [dict(ellipse, density="x")]},
+                {"phantom": [dict(ellipse, angel=0.5)]}):
         bad.write_text(json.dumps(raw))
         for command in (["phantom"], ["forward", "--image", str(tmp_path / "none.grid")]):
+            assert main(command + ["--config", str(bad),
+                                   "--out-dir", str(tmp_path / "o")]) == 2, (command, raw)
+    # ranges the phase constructors refuse: a fan source inside the domain's
+    # corner radius, a breathing amplitude beyond the taper bound
+    for raw in ({"phase": {"family": "fanbeam", "R": 0.5}},
+                {"phase": {"family": "dynamic", "motion": {"name": "breathing", "amplitude": 2}}}):
+        bad.write_text(json.dumps(dict(raw, image={"nx": 16})))
+        for command in (["phantom"], ["adjoint-test"]):
             assert main(command + ["--config", str(bad),
                                    "--out-dir", str(tmp_path / "o")]) == 2, (command, raw)
 

@@ -114,6 +114,57 @@ def test_cg_tikhonov_shrinks(solver_setup):
     assert rec1.norm() < rec0.norm()
 
 
+def test_cg_ten_iterations_accurate(solver_setup):
+    """The ramp preconditioner makes P^-1 N of order 0: 10 iterations stay
+    below a masked error of 0.03, where the unpreconditioned iteration read
+    0.0355."""
+    truth, tr, op, data = solver_setup
+    rec, report = cg_normal_solve(op, data, max_iter=10, tol=0.0)
+    assert report.iterations == 10
+    X = truth.pixel_centers()
+    m = np.hypot(X[..., 0], X[..., 1]) <= 0.9
+    rel = np.linalg.norm((rec.values - truth.values)[m]) / np.linalg.norm(truth.values[m])
+    assert rel < 0.03
+
+
+def test_ramp_preconditioner_symmetric_positive(rng):
+    """P^-1 is symmetric and positive definite on masked images, which the
+    residual-minimal step and its P^-1-norm history rest on."""
+    from curvetomo.recon import _ramp_preconditioner, _support_mask
+
+    for nx in (32, 33):
+        img = make_image_grid(nx)
+        mask = _support_mask(img)
+        precondition = _ramp_preconditioner(mask)
+        for _ in range(3):
+            u = rng.standard_normal((nx, nx)) * mask
+            v = rng.standard_normal((nx, nx)) * mask
+            Pu, Pv = precondition(u), precondition(v)
+            assert np.all(Pu[~mask] == 0.0)
+            scale = np.linalg.norm(u) * np.linalg.norm(Pv)
+            assert abs(np.sum(u * Pv) - np.sum(Pu * v)) <= 1e-12 * scale
+            assert np.sum(v * Pv) >= np.sum(v * v) > 0.0
+
+
+def test_cg_rank_deficient_sync_rotation():
+    """The synchronized rotation (rate -1) sees one direction, so N has a
+    large near-null space; the residual-minimal steps still record a
+    non-increasing history and the solve stays finite."""
+    from curvetomo import RotationMotion, make_dynamic_phase
+
+    nx = 32
+    disk = render_phantom([EllipseSpec(center=(0, 0), semi_axes=(0.5, 0.5), density=1.0)], nx)
+    tr = LevelSetTransform(make_dynamic_phase(RotationMotion(-1.0)), UnitWeight(), disk,
+                           SinoSpec(ns=35, nt=90))
+    op = NormalOperator(tr, CutoffAtlas.trivial(), symmetric=True)
+    rec, report = cg_normal_solve(op, tr.forward(disk), max_iter=30, tol=0.0, truth=disk)
+    assert report.iterations == 30
+    assert np.all(np.isfinite(rec.values))
+    hist = report.residual_history
+    assert len(hist) == 31
+    assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
+
+
 def test_landweber_reduces_residual(solver_setup):
     truth, tr, op, data = solver_setup
     rec, report = landweber_solve(op, data, max_iter=15)
