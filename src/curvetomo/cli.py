@@ -51,11 +51,48 @@ from .phantom import EllipseSpec, boundary_wavefront, default_phantom, render_ph
 from .recon import cg_normal_solve, landweber_solve, perturbation_sweep, stability_probe
 
 
+def _numbers(text):
+    """argparse type: a non-empty comma-separated list of finite numbers."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
+    return values
+
+
+def _point(text):
+    """argparse type: a point x1,x2 of exactly two finite numbers."""
+    values = _numbers(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected a point x1,x2, got {text!r}")
+    return np.array(values)
+
+
+def _count(minimum):
+    """argparse type: an integer of at least ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _load_config(path):
     if path is None:
         return GeometryConfig.from_dict({})
-    with open(path) as fh:
-        return GeometryConfig.from_json(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return GeometryConfig.from_json(text)
 
 
 def _file_checksum(path):
@@ -209,7 +246,7 @@ def cmd_check_bolker(args, config, run):
 
 def cmd_visibility(args, config, run):
     pf, _, _, image_kw = build_geometry(config)
-    x = np.array([float(v) for v in args.point.split(",")])
+    x = args.point
     vm = visibility_map(pf, x, args.n_dirs)
     rows = [["dir1", "dir2", "count", "witnesses"]]
     for i in range(len(vm.directions)):
@@ -236,13 +273,12 @@ def cmd_visibility(args, config, run):
 
 def cmd_symbol(args, config, run):
     pf, mu, _, _ = build_geometry(config)
-    x = np.array([float(v) for v in args.point.split(",")])
     atlas = CutoffAtlas.trivial()
     rows = [["xi1", "xi2", "p", "W_plus", "W_minus", "h_tilde", "visible", "t_used"]]
     for k in range(args.n_dirs):
         ang = TWO_PI * k / args.n_dirs
         xi = np.array([math.cos(ang), math.sin(ang)]) * args.xi_norm
-        sv = principal_symbol(pf, mu, atlas, x, xi)
+        sv = principal_symbol(pf, mu, atlas, args.point, xi)
         rows.append([f"{xi[0]:.9g}", f"{xi[1]:.9g}", f"{sv.p:.12g}", f"{sv.W_plus:.12g}",
                      f"{sv.W_minus:.12g}", f"{sv.h_tilde:.12g}", str(sv.visible),
                      "" if sv.t_used is None else f"{sv.t_used:.9g}"])
@@ -294,14 +330,13 @@ def cmd_reconstruct(args, config, run):
 
 
 def cmd_stability(args, config, run):
-    amplitudes = [float(a) for a in args.amplitudes.split(",")]
     if args.family == "breathing":
         family = lambda a: BreathingMotion(a)  # noqa: E731
     elif args.family == "rotation":
         family = lambda a: RotationMotion(-a)  # noqa: E731
     else:
         raise ConfigError(f"unknown stability family {args.family!r}")
-    report = stability_probe(family, amplitudes, n_samples=args.samples,
+    report = stability_probe(family, args.amplitudes, n_samples=args.samples,
                              nx=args.nx, nt=args.nt, seed=run.manifest["seed"])
     payload = {
         "amplitudes": report.amplitudes,
@@ -322,8 +357,7 @@ def cmd_stability(args, config, run):
 
 
 def cmd_perturb_sweep(args, config, run):
-    deltas = [float(d) for d in args.deltas.split(",")]
-    table = perturbation_sweep(deltas, nx=args.nx, nt=args.nt, seed=run.manifest["seed"])
+    table = perturbation_sweep(args.deltas, nx=args.nx, nt=args.nt, seed=run.manifest["seed"])
     payload = {"deltas": table.deltas, "ratios": table.ratios,
                "slope": table.slope, "monotone": table.monotone}
     run.write_text("perturb.json", json.dumps(payload, sort_keys=True, indent=1))
@@ -388,25 +422,25 @@ def build_parser():
 
     sp = sub.add_parser("adjoint-test", help="duality check on random pairs")
     common(sp)
-    sp.add_argument("--pairs", type=int, default=3)
+    sp.add_argument("--pairs", type=_count(1), default=3)
     sp.add_argument("--tol", type=float, default=1e-3)
 
     sp = sub.add_parser("check-bolker", help="local Bolker determinant map")
     common(sp)
-    sp.add_argument("--grid", type=int, default=9)
-    sp.add_argument("--times", type=int, default=4)
+    sp.add_argument("--grid", type=_count(1), default=9)
+    sp.add_argument("--times", type=_count(1), default=4)
 
     sp = sub.add_parser("visibility", help="per-direction witness times")
     common(sp)
-    sp.add_argument("--point", default="0.0,0.0")
-    sp.add_argument("--n-dirs", type=int, default=32)
+    sp.add_argument("--point", type=_point, default="0.0,0.0")
+    sp.add_argument("--n-dirs", type=_count(8), default=32)
     sp.add_argument("--require-full", action="store_true",
                     help="exit 4 unless every direction is visible")
 
     sp = sub.add_parser("symbol", help="principal symbol samples")
     common(sp)
-    sp.add_argument("--point", default="0.1,0.0")
-    sp.add_argument("--n-dirs", type=int, default=16)
+    sp.add_argument("--point", type=_point, default="0.1,0.0")
+    sp.add_argument("--n-dirs", type=_count(1), default=16)
     sp.add_argument("--xi-norm", type=float, default=8.0)
 
     sp = sub.add_parser("normal", help="apply the cutoff normal operator")
@@ -417,7 +451,7 @@ def build_parser():
     sp = sub.add_parser("reconstruct", help="iterative normal-equation solve")
     common(sp)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--iters", type=int, default=50)
+    sp.add_argument("--iters", type=_count(1), default=50)
     sp.add_argument("--tol", type=float, default=1e-6,
                     help="CG stops once the residual, in the ramp preconditioner's "
                          "norm and relative to the right-hand side's, is below this "
@@ -428,23 +462,23 @@ def build_parser():
     sp = sub.add_parser("stability", help="stability-ratio probe")
     common(sp)
     sp.add_argument("--family", choices=("breathing", "rotation"), default="breathing")
-    sp.add_argument("--amplitudes", default="0.0,0.02,0.05")
-    sp.add_argument("--samples", type=int, default=12)
-    sp.add_argument("--nx", type=int, default=48)
-    sp.add_argument("--nt", type=int, default=120)
+    sp.add_argument("--amplitudes", type=_numbers, default="0.0,0.02,0.05")
+    sp.add_argument("--samples", type=_count(1), default=12)
+    sp.add_argument("--nx", type=_count(1), default=48)
+    sp.add_argument("--nt", type=_count(1), default=120)
 
     sp = sub.add_parser("perturb-sweep", help="operator perturbation scaling")
     common(sp)
-    sp.add_argument("--deltas", default="0.0,0.001,0.003,0.01,0.03")
-    sp.add_argument("--nx", type=int, default=48)
-    sp.add_argument("--nt", type=int, default=120)
+    sp.add_argument("--deltas", type=_numbers, default="0.0,0.001,0.003,0.01,0.03")
+    sp.add_argument("--nx", type=_count(1), default=48)
+    sp.add_argument("--nt", type=_count(1), default=120)
 
     sp = sub.add_parser("fanbeam-convert", help="rebin fan data to parallel")
     common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--R", type=float, default=3.0)
-    sp.add_argument("--ns", type=int, default=128)
-    sp.add_argument("--n-beta", type=int, default=180)
+    sp.add_argument("--ns", type=_count(1), default=128)
+    sp.add_argument("--n-beta", type=_count(1), default=180)
     sp.add_argument("--weight-jacobian", action="store_true")
 
     return p

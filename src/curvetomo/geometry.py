@@ -201,15 +201,15 @@ _AFFINE_V0 = np.array([0.12, -0.08])
 
 class AffineMotion(MotionModel):
     """Time-affine motion psi_t(z) = A(t) z + b(t) with A(t) near identity:
-    A(t) = I + amplitude*sin(t)*M0, b(t) = amplitude*(1 - cos t)*v0.  The
-    time factor is A(t)^{-1}, row-major, followed by b(t)."""
+    A(t) = I + amplitude*sin(t)*M0, b(t) = amplitude*(1 - cos t)*v0, with the
+    fixed M0 = [[0.40, -0.15], [0.25, 0.30]] (``_AFFINE_M0``) and
+    v0 = (0.12, -0.08) (``_AFFINE_V0``).  The time factor is A(t)^{-1},
+    row-major, followed by b(t)."""
 
     name = "affine"
 
-    def __init__(self, amplitude, matrix=None, shift=None):
+    def __init__(self, amplitude):
         self.amplitude = float(amplitude)
-        self.M0 = np.array(_AFFINE_M0 if matrix is None else matrix, dtype=float)
-        self.v0 = np.array(_AFFINE_V0 if shift is None else shift, dtype=float)
         # diffeomorphism guard: det A(t) must stay positive over a full period
         tt = np.linspace(0.0, TWO_PI, 257)
         if np.min(np.linalg.det(self._A(tt))) <= 0.05:
@@ -217,7 +217,7 @@ class AffineMotion(MotionModel):
 
     def _A(self, t):
         t = np.asarray(t, dtype=float)
-        return np.eye(2) + (self.amplitude * np.sin(t))[..., None, None] * self.M0
+        return np.eye(2) + (self.amplitude * np.sin(t))[..., None, None] * _AFFINE_M0
 
     def _A_inv(self, t):
         A = self._A(t)
@@ -231,7 +231,7 @@ class AffineMotion(MotionModel):
 
     def _b(self, t):
         t = np.asarray(t, dtype=float)
-        return (self.amplitude * (1.0 - np.cos(t)))[..., None] * self.v0
+        return (self.amplitude * (1.0 - np.cos(t)))[..., None] * _AFFINE_V0
 
     def forward(self, t, z):
         z = np.asarray(z, dtype=float)
@@ -241,8 +241,8 @@ class AffineMotion(MotionModel):
     def dt_forward(self, t, z):
         t = np.asarray(t, dtype=float)
         z = np.asarray(z, dtype=float)
-        Aprime = (self.amplitude * np.cos(t))[..., None, None] * self.M0
-        bprime = (self.amplitude * np.sin(t))[..., None] * self.v0
+        Aprime = (self.amplitude * np.cos(t))[..., None, None] * _AFFINE_M0
+        bprime = (self.amplitude * np.sin(t))[..., None] * _AFFINE_V0
         return np.einsum("...ij,...j->...i", Aprime, z) + bprime
 
     def time_factor(self, t):

@@ -401,11 +401,15 @@ def write_grid_file(path, obj, geometry_hash=""):
 
 
 def read_grid_file(path):
-    """Read a grid file back; verifies checksum and dims."""
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    with open(path, "rb") as fh:
-        payload = fh.read()
+    """Read a grid file back; verifies checksum and dims.  A file that
+    cannot be opened is a ConfigError."""
+    try:
+        with open(str(path) + ".json") as fh:
+            sidecar = json.load(fh)
+        with open(path, "rb") as fh:
+            payload = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read grid file {path}: {exc}") from None
     if crc64(payload) != sidecar["checksum"]:
         raise ConfigError(f"checksum mismatch reading {path}")
     dims = sidecar["dims"]
@@ -423,12 +427,13 @@ def read_grid_file(path):
                     np.linspace(t0, t1, dims[1]), data), sidecar
 
 
-def write_pgm16(path, array, lo=None, hi=None):
-    """16-bit binary PGM quicklook of a 2-D array (NaN rendered as 0)."""
+def write_pgm16(path, array):
+    """16-bit binary PGM quicklook of a 2-D array, scaled from its finite
+    minimum (0) to its finite maximum (65535); [0, 1] when nothing is
+    finite.  NaN is rendered as 0."""
     a = np.asarray(array, dtype=float)
     finite = a[np.isfinite(a)]
-    lo = float(finite.min()) if lo is None and finite.size else (lo or 0.0)
-    hi = float(finite.max()) if hi is None and finite.size else (hi or 1.0)
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     span = (hi - lo) if hi > lo else 1.0
     scaled = np.clip(np.nan_to_num(a, nan=lo) - lo, 0, span) / span
     img = (scaled * 65535).astype(">u2")

@@ -97,27 +97,32 @@ class EquivalenceReport:
     disagreements: list = field(default_factory=list)
 
 
-def _normalized_det_status(col1, col2, threshold=1e-8):
-    """Zero/nonzero classification of det[col1, col2] after normalizing each
-    column to unit scale; vectorized over leading axes.
+# Zero/nonzero cut of the equivalence check's normalized determinants.
+_DET_THRESHOLD = 1e-8
 
-    A column whose norm is below ``threshold`` times the larger column is
-    treated as zero (the matrix is singular); without this floor,
-    normalizing a pure-noise column would amplify round-off to unit scale.
+
+def _normalized_det_status(col1, col2):
+    """Zero/nonzero classification of det[col1, col2] after normalizing each
+    column to unit scale; vectorized over leading axes.  A normalized
+    determinant above 1e-8 (``_DET_THRESHOLD``) is nonzero.
+
+    A column whose norm is below 1e-8 times the larger column is treated as
+    zero (the matrix is singular); without this floor, normalizing a
+    pure-noise column would amplify round-off to unit scale.
     """
     col1 = np.asarray(col1, dtype=float)
     col2 = np.asarray(col2, dtype=float)
     n1 = np.hypot(col1[..., 0], col1[..., 1])
     n2 = np.hypot(col2[..., 0], col2[..., 1])
     ref = np.maximum(n1, n2)
-    degenerate = (ref == 0.0) | (np.minimum(n1, n2) < threshold * ref)
+    degenerate = (ref == 0.0) | (np.minimum(n1, n2) < _DET_THRESHOLD * ref)
     denom = np.where(degenerate, 1.0, n1 * n2)
     det = np.abs(col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]) / denom
     det = np.where(degenerate, 0.0, det)
-    return (det > threshold) & ~degenerate, det
+    return (det > _DET_THRESHOLD) & ~degenerate, det
 
 
-def homogeneous_equivalence_check(pf, t_samples, x_samples=None, threshold=1e-8):
+def homogeneous_equivalence_check(pf, t_samples, x_samples=None):
     """Compare zero/nonzero status of h(t, x) against the determinant of the
     mixed theta-x Hessian of the order-one homogeneous extension.
 
@@ -126,7 +131,8 @@ def homogeneous_equivalence_check(pf, t_samples, x_samples=None, threshold=1e-8)
     classifications on every sample is the numerical shadow of the
     if-and-only-if statement; the Hessian route assembles the mixed-derivative
     matrix from the product-rule expansion and classifies its columns
-    independently of the direct [grad, dt grad] route.
+    independently of the direct [grad, dt grad] route.  Both routes call a
+    normalized determinant zero at or below 1e-8 (``_DET_THRESHOLD``).
     """
     if x_samples is None:
         pairs = list(t_samples)
@@ -140,14 +146,13 @@ def homogeneous_equivalence_check(pf, t_samples, x_samples=None, threshold=1e-8)
     status_h, mag_h = _normalized_det_status(
         np.stack([g[..., 0], g[..., 1]], axis=-1),
         np.stack([m[..., 0], m[..., 1]], axis=-1),
-        threshold,
     )
     c = np.cos(t)
     s_ = np.sin(t)
     # columns of (d^2/d theta d x) |theta| phi(arg theta, x) at theta = omega(t)
     col1 = np.stack([c * g[..., 0] - s_ * m[..., 0], s_ * g[..., 0] + c * m[..., 0]], axis=-1)
     col2 = np.stack([c * g[..., 1] - s_ * m[..., 1], s_ * g[..., 1] + c * m[..., 1]], axis=-1)
-    status_hess, mag_hess = _normalized_det_status(col1, col2, threshold)
+    status_hess, mag_hess = _normalized_det_status(col1, col2)
     agree = status_h == status_hess
     bad_idx = np.nonzero(~agree)[0]
     worst = float(np.max(np.abs(mag_h - mag_hess)[bad_idx])) if len(bad_idx) else 0.0
@@ -175,12 +180,18 @@ def _angular_residual(pf, t, x, dir_perp):
     return (g[..., 0] * dir_perp[..., 0] + g[..., 1] * dir_perp[..., 1]) / norm
 
 
+# The time solver's scan: cells of the uniform time grid, and the residual
+# below which a time is a root.  ``tests/conftest.py``'s scalar oracle
+# ``reference_solve_time`` defaults to the same two values.
+_N_SCAN = 720
+_RESIDUAL_TOL = 1e-10
+
 # Pairs per block of the residual scan: a block evaluates its pairs at all
-# n_scan + 1 grid times at once, so this caps the scan's scratch memory.
+# _N_SCAN + 1 grid times at once, so this caps the scan's scratch memory.
 _SCAN_PAIRS = 64
 
 
-def _scan_block(pf, tt, x, u_perp, residual_tol, offset):
+def _scan_block(pf, tt, x, u_perp, offset):
     """Scan the residual of a block of pairs, numbered from ``offset``, on
     the grid ``tt``.
 
@@ -197,7 +208,7 @@ def _scan_block(pf, tt, x, u_perp, residual_tol, offset):
     rows = np.flatnonzero(~flat)
     r = r[rows]
     # exact zeros on grid nodes: one root per maximal run of zero nodes
-    zero = np.abs(r) < residual_tol
+    zero = np.abs(r) < _RESIDUAL_TOL
     edge = np.zeros((len(r), 1), dtype=bool)
     first = zero & ~np.hstack([edge, zero[:, :-1]])
     last = zero & ~np.hstack([zero[:, 1:], edge])
@@ -211,7 +222,7 @@ def _scan_block(pf, tt, x, u_perp, residual_tol, offset):
     return root_pair, root_t, rows[row] + offset, i, r[row, i]
 
 
-def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1e-10):
+def solve_time_for_direction(pf, x, xi, t_range=None):
     """All t in t_range with nu(t, x) parallel to +-xi/|xi|.
 
     ``x`` and ``xi`` are one pair of shape (2,) each, or a batch of pairs of
@@ -220,12 +231,14 @@ def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1
     sign(nu . unit_dir); a batch returns one such list per pair.  An empty
     list marks an invisible direction.
 
-    Scans a uniform grid of ``n_scan + 1`` times for sign changes of the
-    angular residual, in blocks of 64 pairs to bound the scan's memory, then
-    refines each bracket by bisection (at most 80 steps, stopping once
-    |residual| < ``residual_tol``) and at most 4 Newton steps, each no
-    longer than a scan cell.  All brackets of the batch are refined in
-    lockstep, each under the stopping rules it would meet if solved alone.
+    Scans a uniform grid of 721 times (720 cells, ``_N_SCAN``) for sign
+    changes of the angular residual, in blocks of 64 pairs to bound the
+    scan's memory, then refines each bracket by bisection (at most 80 steps,
+    stopping once |residual| < 1e-10, ``_RESIDUAL_TOL``) and at most 4
+    Newton steps, each no longer than a scan cell.  A run of grid times
+    whose residual is below 1e-10 counts as one root.  All brackets of the
+    batch are refined in lockstep, each under the stopping rules it would
+    meet if solved alone.
 
     A residual that vanishes on a whole subinterval (the synchronized limit
     when xi is the surviving normal) is collapsed to the subinterval
@@ -246,9 +259,9 @@ def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1
     lo, hi = t_range if t_range is not None else pf.t_range
     full_circle = abs((hi - lo) - TWO_PI) < 1e-9
 
-    tt = np.linspace(lo, hi, n_scan + 1)
-    scans = [_scan_block(pf, tt, x[b0:b0 + _SCAN_PAIRS], u_perp[b0:b0 + _SCAN_PAIRS],
-                         residual_tol, b0) for b0 in range(0, len(x), _SCAN_PAIRS)]
+    tt = np.linspace(lo, hi, _N_SCAN + 1)
+    scans = [_scan_block(pf, tt, x[b0:b0 + _SCAN_PAIRS], u_perp[b0:b0 + _SCAN_PAIRS], b0)
+             for b0 in range(0, len(x), _SCAN_PAIRS)]
     root_pair, root_t, pair, i, fa = (np.concatenate(c) for c in zip(*scans))
 
     # bisection of every bracket in lockstep
@@ -260,7 +273,7 @@ def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1
         m_ = 0.5 * (a[live] + b[live])
         p = pair[live]
         fm = _angular_residual(pf, m_, x[p], u_perp[p])
-        hit = np.abs(fm) < residual_tol
+        hit = np.abs(fm) < _RESIDUAL_TOL
         a[live[hit]] = b[live[hit]] = m_[hit]
         left = ~hit & (fa[live] * fm < 0.0)      # the root is in [a, m]
         right = ~hit & ~left
@@ -283,7 +296,7 @@ def solve_time_for_direction(pf, x, xi, t_range=None, n_scan=720, residual_tol=1
              - _angular_residual(pf, t0 - dh, x[p], u_perp[p])) / (2 * dh)
         with np.errstate(divide="ignore", invalid="ignore"):
             step_n = f0 / d
-        go = ~(np.abs(f0) < residual_tol) & (d != 0.0) & ~(np.abs(step_n) > (tt[1] - tt[0]))
+        go = ~(np.abs(f0) < _RESIDUAL_TOL) & (d != 0.0) & ~(np.abs(step_n) > (tt[1] - tt[0]))
         live = live[go]
         t_root[live] = t0[go] - step_n[go]
 
@@ -337,13 +350,14 @@ def visibility_map(pf, x, n_dirs, t_range=None):
 # ---------------------------------------------------------------------------
 
 
-def semiglobal_bolker_check(pf, t, x, n_curve_samples=512, step=None, exclusion_steps=4):
+def semiglobal_bolker_check(pf, t, x, n_curve_samples=512):
     """Witnesses against injectivity of y -> (phi(t, y), dt phi(t, y)) along
     the level curve through x.
 
-    The curve through x is traced and resampled to ``n_curve_samples`` points;
-    any sample y with |dt phi(t, x) - dt phi(t, y)| below the tolerance is a
-    conjugate-point witness.  A small arc around x itself is excluded: near x
+    The curve through x is traced once, at steps of 1/1024 of the domain's
+    diameter, and resampled to ``n_curve_samples`` points; any sample y with
+    |dt phi(t, x) - dt phi(t, y)| below the tolerance is a conjugate-point
+    witness.  The arc within 4 trace steps of x itself is excluded: near x
     the local Bolker condition already forces strict monotonicity, and every
     continuous function ties with itself in the limit y -> x.
 
@@ -355,28 +369,27 @@ def semiglobal_bolker_check(pf, t, x, n_curve_samples=512, step=None, exclusion_
     """
     x = np.asarray(x, dtype=float)
     s = float(pf.eval(t, x))
-    if step is None:
-        step = pf.domain.diameter / 1024.0
+    step = pf.domain.diameter / 1024.0
+    curve = trace_level_curve(pf, s, t, seed=x, step=step)
+    pts = curve.points
+    arc = curve.arc_lengths
+    total = arc[-1]
+    if total <= 0:
+        return np.zeros((0, 2))
+    dt_x = float(pf.dt(t, x))
+    g = pf.grad_x(t, x)
+    grad_scale = float(np.hypot(g[0], g[1])) * total
 
     for attempt in range(3):
-        curve = trace_level_curve(pf, s, t, seed=x, step=step)
-        pts = curve.points
-        arc = curve.arc_lengths
-        total = arc[-1]
-        if total <= 0:
-            return np.zeros((0, 2))
         targets = np.linspace(0.0, total, n_curve_samples)
         ys = np.stack(
             [np.interp(targets, arc, pts[:, 0]), np.interp(targets, arc, pts[:, 1])], axis=-1
         )
         dt_y = pf.dt(np.full(len(ys), float(t)), ys)
-        dt_x = float(pf.dt(t, x))
-        g = pf.grad_x(t, x)
-        scale = max(float(np.max(np.abs(dt_y))), float(np.hypot(g[0], g[1])) * total)
-        sg_tol = 1e-6 * scale
+        sg_tol = 1e-6 * max(float(np.max(np.abs(dt_y))), grad_scale)
 
         arc_x = targets[np.argmin(np.hypot(ys[:, 0] - x[0], ys[:, 1] - x[1]))]
-        near_x = np.abs(targets - arc_x) <= exclusion_steps * step
+        near_x = np.abs(targets - arc_x) <= 4 * step
         hits = (np.abs(dt_y - dt_x) <= sg_tol) & ~near_x
         if hits.any():
             return ys[hits]
@@ -385,7 +398,6 @@ def semiglobal_bolker_check(pf, t, x, n_curve_samples=512, step=None, exclusion_
             n_curve_samples *= 2
             continue
         return np.zeros((0, 2))
-    return np.zeros((0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +441,9 @@ def data_projection_differential(pf, t, x, sigma):
     return M
 
 
-def data_projection_rank(pf, t, x, sigma, svd_rtol=1e-10):
-    """Numerical rank (SVD) and determinant of the dPi_Y matrix.
+def data_projection_rank(pf, t, x, sigma):
+    """Numerical rank (SVD) and determinant of the dPi_Y matrix.  The rank
+    counts the singular values above 1e-10 times the largest.
 
     By cofactor expansion the determinant equals -sigma * h(t, x); full rank
     is therefore equivalent to the local Bolker condition.
@@ -439,7 +452,7 @@ def data_projection_rank(pf, t, x, sigma, svd_rtol=1e-10):
         raise ValueError("sigma must be nonzero")
     M = data_projection_differential(pf, t, x, sigma)
     sv = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(sv > svd_rtol * sv[0]))
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
     det = float(np.linalg.det(M))
     return rank, det
 
@@ -449,10 +462,11 @@ def data_projection_rank(pf, t, x, sigma, svd_rtol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def principal_symbol(pf, mu, atlas, x, xi, t_range=None):
+def principal_symbol(pf, mu, atlas, x, xi):
     """Principal symbol of chi_X A* chi_Y A at the covector (x, xi).
 
-    Witness times come from the direction solver; roots with nu . xi > 0
+    Witness times come from the direction solver over the phase's whole
+    ``t_range``; roots with nu . xi > 0
     accumulate W_plus, antipodal roots W_minus, each weighted by the chart
     cutoffs (summed over the atlas, so for the trivial atlas this is exactly
     the single-chart formula):
@@ -471,7 +485,7 @@ def principal_symbol(pf, mu, atlas, x, xi, t_range=None):
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     xi_norm = float(np.hypot(xi[0], xi[1]))
-    roots = solve_time_for_direction(pf, x, xi, t_range=t_range)
+    roots = solve_time_for_direction(pf, x, xi)
     if not roots:
         return SymbolValue(x=x, xi=xi, t_used=None, W_plus=0.0, W_minus=0.0,
                            h_tilde=0.0, p=0.0, visible=False)

@@ -126,9 +126,10 @@ class ImageGrid:
         return float(np.sum(self.values * other.values)) * self.spacing**2
 
 
-def make_image_grid(nx, support_radius=1.0, pad=0.05, values=None):
-    """Centered square grid whose extent is (1 + pad) times the support disk."""
-    half = (1.0 + pad) * support_radius
+def make_image_grid(nx, support_radius=1.0, values=None):
+    """Centered square grid whose extent is 1.05 times the support disk: a
+    5% margin keeps the disk's edge off the grid's boundary pixels."""
+    half = 1.05 * support_radius
     spacing = 2.0 * half / nx
     origin = np.array([-half + 0.5 * spacing, -half + 0.5 * spacing])
     if values is None:
@@ -290,18 +291,25 @@ class CutoffAtlas:
         return sum(self.chart_chi_x(c, x) * self.chart_chi_y(c, s, t) for c in self.charts)
 
 
-def build_default_atlas(pf, support_radius, n_charts, n_dirs=24, coverage_min=0.5):
+# Coverage check of ``build_default_atlas``: the smallest partition-of-unity
+# sum allowed at a probe point, and the directions checked per probe point.
+_COVERAGE_MIN = 0.5
+_ATLAS_N_DIRS = 24
+
+
+def build_default_atlas(pf, support_radius, n_charts):
     """Uniform chart grid over the target disk with 50% overlap.
 
     ``n_charts`` is the per-axis count; 1 returns the trivial cover.  Each
     chart's s window is sized from the actual range of phi over its x ball
     (padded), and the t window spans the full acquisition range.  The cover
-    is then verified by dense sampling: sum_i chi_iX must stay above
-    ``coverage_min`` on the disk, and every direction at every probe point
-    must have a witness time whose (s, t) the atlas sees; otherwise
-    CoverageError reports the uncovered items.
+    is then verified by dense sampling: sum_i chi_iX must stay at or above
+    0.5 (``_COVERAGE_MIN``) on the disk, and each of 24 uniform directions
+    (``_ATLAS_N_DIRS``) at every probe point must have a witness time whose
+    (s, t) the atlas sees; otherwise CoverageError reports the uncovered
+    items.
 
-    The direction check solves all 28 probe points x ``n_dirs`` directions
+    The direction check solves all 28 probe points x 24 directions
     with one batched ``solve_time_for_direction`` call and weighs all their
     witness times with one ``chi_pair`` evaluation, keeping each pair's best.
     """
@@ -344,19 +352,19 @@ def build_default_atlas(pf, support_radius, n_charts, n_dirs=24, coverage_min=0.
         [np.stack([r * np.cos(aa), r * np.sin(aa)], axis=-1) for r in rr]
     )
     sums = atlas.chi_x(probes)
-    if np.min(sums) < coverage_min:
-        bad = probes[sums < coverage_min]
+    if np.min(sums) < _COVERAGE_MIN:
+        bad = probes[sums < _COVERAGE_MIN]
         raise CoverageError(
-            f"partition of unity below {coverage_min} at {len(bad)} probe points",
+            f"partition of unity below {_COVERAGE_MIN} at {len(bad)} probe points",
             uncovered=[("chi_sum", p.tolist()) for p in bad],
         )
     dirs = np.stack(
-        [np.cos(np.linspace(0, TWO_PI, n_dirs, endpoint=False)),
-         np.sin(np.linspace(0, TWO_PI, n_dirs, endpoint=False))], axis=-1
+        [np.cos(np.linspace(0, TWO_PI, _ATLAS_N_DIRS, endpoint=False)),
+         np.sin(np.linspace(0, TWO_PI, _ATLAS_N_DIRS, endpoint=False))], axis=-1
     )
     # every (probe, direction) pair, probe-major, in one solve
-    pts = np.repeat(probes[:: max(1, len(probes) // 24)], n_dirs, axis=0)
-    dirs = np.tile(dirs, (len(pts) // n_dirs, 1))
+    pts = np.repeat(probes[:: max(1, len(probes) // 24)], _ATLAS_N_DIRS, axis=0)
+    dirs = np.tile(dirs, (len(pts) // _ATLAS_N_DIRS, 1))
     roots = solve_time_for_direction(pf, pts, dirs)
     pair = np.repeat(np.arange(len(pts)), [len(r) for r in roots])
     t_root = np.array([t for r in roots for t, _ in r])
@@ -1284,10 +1292,9 @@ def _require_single(values, kind):
                          f"{values.shape}")
 
 
-def apply_normal(pf, mu, atlas, f, sino_spec=None, transform=None, symmetric=False, **kwargs):
-    """Microlocally cutoff normal operator applied to f."""
-    if transform is None:
-        if sino_spec is None:
-            raise ValueError("need sino_spec or a prebuilt transform")
-        transform = LevelSetTransform(pf, mu, f, sino_spec, **kwargs)
-    return NormalOperator(transform, atlas, symmetric=symmetric).apply(f)
+def apply_normal(pf, mu, atlas, f, sino_spec, **kwargs):
+    """One-shot microlocally cutoff normal operator applied to f: a
+    transform built for ``sino_spec`` and the plain (not symmetrized)
+    NormalOperator."""
+    transform = LevelSetTransform(pf, mu, f, sino_spec, **kwargs)
+    return NormalOperator(transform, atlas).apply(f)

@@ -61,12 +61,16 @@ def _inside(spec, x, y):
     return (xr / spec.semi_axes[0]) ** 2 + (yr / spec.semi_axes[1]) ** 2 <= 1.0
 
 
-def render_phantom(specs, nx, support_radius=1.0, supersample=4):
+# Subpixels per pixel axis in ``render_phantom``'s antialiasing.
+_SUPERSAMPLE = 4
+
+
+def render_phantom(specs, nx, support_radius=1.0):
     """Sum of ellipse densities with area-weighted antialiasing on boundary
-    pixels (supersample x supersample subpixel grid)."""
+    pixels: each pixel averages a 4 x 4 subpixel grid (``_SUPERSAMPLE``)."""
     grid = make_image_grid(nx, support_radius=support_radius)
     X = grid.pixel_centers()
-    offsets = ((np.arange(supersample) + 0.5) / supersample - 0.5) * grid.spacing
+    offsets = ((np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5) * grid.spacing
     acc = np.zeros((nx, nx))
     for dx in offsets:
         for dy in offsets:
@@ -74,7 +78,7 @@ def render_phantom(specs, nx, support_radius=1.0, supersample=4):
             ys = X[..., 1] + dy
             for spec in specs:
                 acc += spec.density * _inside(spec, xs, ys)
-    return grid.like(acc / supersample**2)
+    return grid.like(acc / _SUPERSAMPLE**2)
 
 
 def boundary_wavefront(specs, n_per_ellipse):

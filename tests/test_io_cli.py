@@ -375,6 +375,49 @@ def test_cli_bad_config_exit_2(tmp_path):
                                    "--out-dir", str(tmp_path / "o")]) == 2, (command, raw)
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 16x16 config and a sinogram forwarded from its phantom."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"image": {"nx": 16}, "sinogram": {"ns": 9, "nt": 8}}))
+    assert main(["phantom", "--config", str(cfg), "--out-dir", str(root / "ph")]) == 0
+    assert main(["forward", "--config", str(cfg), "--out-dir", str(root / "fwd"),
+                 "--image", str(root / "ph" / "phantom.grid")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("args", [
+    ["visibility", "--point", "0.1"],        # once broadcast to (0.1, 0.1)
+    ["visibility", "--point", "nan,0"],
+    ["visibility", "--point", "a,b"],
+    ["visibility", "--n-dirs", "4"],         # visibility_map needs 8
+    ["symbol", "--point", "0.1,0.2,0.3"],
+    ["symbol", "--n-dirs", "0"],             # once a header-only CSV
+    ["adjoint-test", "--pairs", "0"],        # once a passing check of no pairs
+    ["reconstruct", "--data", "{sino}", "--iters", "-3"],
+    ["stability", "--amplitudes", "x"],
+    ["stability", "--samples", "0"],
+    ["perturb-sweep", "--deltas", "0,y"],
+    ["check-bolker", "--grid", "0"],
+    ["check-bolker", "--times", "0"],
+    ["phantom", "--config", "{root}/missing.json"],
+    ["reconstruct", "--data", "{root}/nofile"],
+], ids=lambda a: " ".join(a))
+def test_cli_bad_argument_exit_2(tiny_run, args):
+    """Malformed points, lists and counts, and unreadable config or data
+    files, exit 2, from argparse or as config errors; each once exited 0
+    or crashed with a traceback."""
+    args = [a.format(root=tiny_run, sino=tiny_run / "fwd" / "sinogram.grid") for a in args]
+    if "--config" not in args:
+        args += ["--config", str(tiny_run / "cfg.json")]
+    try:
+        code = main(args + ["--out-dir", str(tiny_run / "bad")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+
+
 def test_cli_limited_angle_visibility_exit_4(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -537,6 +537,22 @@ def test_atlas_grid_partition_bounds(static_pf):
     assert np.max(sums) <= 4.0
 
 
+def test_atlas_partition_below_minimum_coverage_error(static_pf, monkeypatch):
+    """A probe point whose partition-of-unity sum is below the minimum is
+    reported as ("chi_sum", point).  The trivial atlas sums to 1 everywhere,
+    so a minimum above 1 reports every probe point, in probe order."""
+    from curvetomo import operators
+
+    monkeypatch.setattr(operators, "_COVERAGE_MIN", 1.5)
+    with pytest.raises(CoverageError, match="partition of unity below 1.5 at 112") as exc:
+        build_default_atlas(static_pf, 1.0, 1)
+    rr = np.linspace(0.0, 0.98, 7)
+    aa = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    probes = [[r * math.cos(a), r * math.sin(a)] for r in rr for a in aa]
+    assert [kind for kind, _ in exc.value.uncovered] == ["chi_sum"] * len(probes)
+    np.testing.assert_allclose([p for _, p in exc.value.uncovered], probes, atol=1e-15)
+
+
 def test_atlas_limited_angle_coverage_error(static_pf):
     import copy
 
