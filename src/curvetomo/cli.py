@@ -63,12 +63,36 @@ def _numbers(text):
     return values
 
 
+def _amplitudes(text):
+    """argparse type: ``_numbers`` including 0, the static reference."""
+    values = _numbers(text)
+    if 0.0 not in values:
+        raise argparse.ArgumentTypeError(f"amplitudes must include 0, got {text!r}")
+    return values
+
+
 def _point(text):
     """argparse type: a point x1,x2 of exactly two finite numbers."""
     values = _numbers(text)
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected a point x1,x2, got {text!r}")
     return np.array(values)
+
+
+def _finite(minimum, strict=False):
+    """argparse type: a finite number of at least ``minimum``, or above it
+    when ``strict``."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'above' if strict else 'of at least'} {minimum}, "
+                f"got {text!r}")
+        return value
+    return parse
 
 
 def _count(minimum):
@@ -113,7 +137,7 @@ class _Run:
             "version": __version__,
             "command": args.command,
             "config_hash": config.hash(),
-            "seed": getattr(args, "seed", None) or config.seed,
+            "seed": config.seed if args.seed is None else args.seed,
             "chunk_t": config.chunk_t,
             "inputs": {},
             "outputs": {},
@@ -150,11 +174,8 @@ class _Run:
 
 def _phantom_from_config(config, nx, support_radius):
     if config.phantom:
-        specs = [
-            EllipseSpec(center=tuple(e["center"]), semi_axes=tuple(e["semi_axes"]),
-                        angle=float(e.get("angle", 0.0)), density=float(e.get("density", 1.0)))
-            for e in config.phantom
-        ]
+        specs = [EllipseSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                for k, v in e.items()}) for e in config.phantom]
     else:
         specs = default_phantom()
     return specs, render_phantom(specs, nx, support_radius=support_radius)
@@ -290,8 +311,7 @@ def cmd_normal(args, config, run):
     img, sidecar = read_grid_file(args.image)
     run.add_input(args.image, sidecar)
     pf, _, tr = _transform(config, img)
-    n_charts = int(config.atlas.get("n_charts", 1))
-    atlas = build_default_atlas(pf, img.support_radius, n_charts)
+    atlas = build_default_atlas(pf, img.support_radius, config.settings("atlas")["n_charts"])
     Nf = NormalOperator(tr, atlas, symmetric=args.symmetric).apply(img)
     run.manifest["metrics"].update(tr.stats)
     run.write_grid("normal.grid", Nf)
@@ -303,8 +323,7 @@ def cmd_reconstruct(args, config, run):
     g, sidecar = read_grid_file(args.data)
     run.add_input(args.data, sidecar)
     pf, img, tr = _transform(config)
-    n_charts = int(config.atlas.get("n_charts", 1))
-    atlas = build_default_atlas(pf, img.support_radius, n_charts)
+    atlas = build_default_atlas(pf, img.support_radius, config.settings("atlas")["n_charts"])
     op = NormalOperator(tr, atlas, symmetric=True)
     if args.solver == "cg":
         rec, report = cg_normal_solve(op, g, max_iter=args.iters, tol=args.tol,
@@ -371,7 +390,7 @@ def cmd_perturb_sweep(args, config, run):
 def cmd_fanbeam_convert(args, config, run):
     g_fan, sidecar = read_grid_file(args.data)
     run.add_input(args.data, sidecar)
-    R = float(config.phase.get("R", 3.0)) if config.phase.get("family") == "fanbeam" else args.R
+    R = float(config.settings("phase")["R"]) if config.phase["family"] == "fanbeam" else args.R
     g_par, info = fanbeam_convert(g_fan, R, ns=args.ns, n_beta=args.n_beta,
                                   weight_jacobian=args.weight_jacobian)
     run.manifest["metrics"].update(info)
@@ -410,7 +429,7 @@ def build_parser():
     def common(sp):
         sp.add_argument("--config", default=None, help="geometry config JSON")
         sp.add_argument("--out-dir", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_count(0), default=None)
 
     sp = sub.add_parser("phantom", help="render the configured phantom")
     common(sp)
@@ -423,7 +442,7 @@ def build_parser():
     sp = sub.add_parser("adjoint-test", help="duality check on random pairs")
     common(sp)
     sp.add_argument("--pairs", type=_count(1), default=3)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=_finite(0.0), default=1e-3)
 
     sp = sub.add_parser("check-bolker", help="local Bolker determinant map")
     common(sp)
@@ -441,7 +460,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--point", type=_point, default="0.1,0.0")
     sp.add_argument("--n-dirs", type=_count(1), default=16)
-    sp.add_argument("--xi-norm", type=float, default=8.0)
+    sp.add_argument("--xi-norm", type=_finite(0.0, strict=True), default=8.0)
 
     sp = sub.add_parser("normal", help="apply the cutoff normal operator")
     common(sp)
@@ -452,17 +471,17 @@ def build_parser():
     common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--iters", type=_count(1), default=50)
-    sp.add_argument("--tol", type=float, default=1e-6,
+    sp.add_argument("--tol", type=_finite(0.0), default=1e-6,
                     help="CG stops once the residual, in the ramp preconditioner's "
                          "norm and relative to the right-hand side's, is below this "
                          "(default 1e-6; Landweber ignores it)")
-    sp.add_argument("--tikhonov", type=float, default=0.0)
+    sp.add_argument("--tikhonov", type=_finite(0.0), default=0.0)
     sp.add_argument("--solver", choices=("cg", "landweber"), default="cg")
 
     sp = sub.add_parser("stability", help="stability-ratio probe")
     common(sp)
     sp.add_argument("--family", choices=("breathing", "rotation"), default="breathing")
-    sp.add_argument("--amplitudes", type=_numbers, default="0.0,0.02,0.05")
+    sp.add_argument("--amplitudes", type=_amplitudes, default="0.0,0.02,0.05")
     sp.add_argument("--samples", type=_count(1), default=12)
     sp.add_argument("--nx", type=_count(1), default=48)
     sp.add_argument("--nt", type=_count(1), default=120)
@@ -476,7 +495,7 @@ def build_parser():
     sp = sub.add_parser("fanbeam-convert", help="rebin fan data to parallel")
     common(sp)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--R", type=float, default=3.0)
+    sp.add_argument("--R", type=_finite(0.0, strict=True), default=3.0)
     sp.add_argument("--ns", type=_count(1), default=128)
     sp.add_argument("--n-beta", type=_count(1), default=180)
     sp.add_argument("--weight-jacobian", action="store_true")

@@ -167,7 +167,7 @@ class RotationMotion(MotionModel):
 
     name = "rotation"
 
-    def __init__(self, rate):
+    def __init__(self, rate=0.3):
         self.rate = float(rate)
 
     def forward(self, t, z):
@@ -208,7 +208,7 @@ class AffineMotion(MotionModel):
 
     name = "affine"
 
-    def __init__(self, amplitude):
+    def __init__(self, amplitude=0.05):
         self.amplitude = float(amplitude)
         # diffeomorphism guard: det A(t) must stay positive over a full period
         tt = np.linspace(0.0, TWO_PI, 257)
@@ -271,7 +271,7 @@ class BreathingMotion(MotionModel):
 
     name = "breathing"
 
-    def __init__(self, amplitude, r_flat=0.5, r_support=1.15):
+    def __init__(self, amplitude=0.05, r_flat=0.5, r_support=1.15):
         self.amplitude = float(amplitude)
         self.r_flat = float(r_flat)
         self.r_support = float(r_support)
@@ -363,16 +363,8 @@ class BreathingMotion(MotionModel):
         return inv, jac
 
 
-_MOTION_REGISTRY = {
-    "identity": lambda **kw: IdentityMotion(),
-    "rotation": lambda **kw: RotationMotion(kw.get("rate", 0.3)),
-    "affine": lambda **kw: AffineMotion(kw.get("amplitude", 0.05)),
-    "breathing": lambda **kw: BreathingMotion(
-        kw.get("amplitude", 0.05),
-        r_flat=kw.get("r_flat", 0.5),
-        r_support=kw.get("r_support", 1.15),
-    ),
-}
+_MOTION_REGISTRY = {m.name: m for m in (IdentityMotion, RotationMotion, AffineMotion,
+                                         BreathingMotion)}
 
 
 def make_motion(name, **params):
@@ -554,10 +546,6 @@ class StaticPhase(PhaseFunction):
     analytic_derivatives = True
     name = "static"
 
-    def __init__(self, domain=DEFAULT_DOMAIN, t_range=(0.0, TWO_PI)):
-        self.domain = domain
-        self.t_range = tuple(t_range)
-
     def _time_factor(self, t):
         return omega(t)
 
@@ -597,10 +585,8 @@ class DynamicPhase(PhaseFunction):
 
     name = "dynamic"
 
-    def __init__(self, motion, domain=DEFAULT_DOMAIN, t_range=(0.0, TWO_PI), use_analytic=True):
+    def __init__(self, motion, use_analytic):
         self.motion = motion
-        self.domain = domain
-        self.t_range = tuple(t_range)
         self._analytic = bool(use_analytic)
 
     @property
@@ -653,7 +639,7 @@ class FanBeamPhase(PhaseFunction):
     analytic_derivatives = True
     name = "fanbeam"
 
-    def __init__(self, R, support_radius=1.05, t_margin=0.05, domain=DEFAULT_DOMAIN):
+    def __init__(self, R, support_radius, t_margin, domain):
         corner = math.hypot(
             max(abs(domain.xmin), abs(domain.xmax)), max(abs(domain.ymin), abs(domain.ymax))
         )
@@ -709,19 +695,19 @@ class FanBeamPhase(PhaseFunction):
         return np.stack([gx, gy], axis=-1)
 
 
-def make_static_phase(domain=DEFAULT_DOMAIN, t_range=(0.0, TWO_PI)):
+def make_static_phase():
     """Classical Radon phase x . omega(t) with analytic derivatives."""
-    return StaticPhase(domain=domain, t_range=t_range)
+    return StaticPhase()
 
 
-def make_dynamic_phase(motion, domain=DEFAULT_DOMAIN, t_range=(0.0, TWO_PI), use_analytic=True):
+def make_dynamic_phase(motion, use_analytic=True):
     """Level-curve phase psi_t^{-1}(x) . omega(t) of a motion model."""
-    return DynamicPhase(motion, domain=domain, t_range=t_range, use_analytic=use_analytic)
+    return DynamicPhase(motion, use_analytic)
 
 
 def make_fanbeam_phase(R, support_radius=1.05, t_margin=0.05, domain=DEFAULT_DOMAIN):
     """Fan-beam phase arg(alpha_perp); see FanBeamPhase for the branch."""
-    return FanBeamPhase(R, support_radius=support_radius, t_margin=t_margin, domain=domain)
+    return FanBeamPhase(R, support_radius, t_margin, domain)
 
 
 def fan_to_parallel(t, gamma, R):

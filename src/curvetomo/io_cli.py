@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -26,7 +28,7 @@ from .geometry import (
     make_motion,
     make_static_phase,
 )
-from .operators import ImageGrid, SinoSpec, Sinogram
+from .operators import ImageGrid, SinoSpec, Sinogram, default_ns
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -116,98 +118,137 @@ def crc64(data):
 # configuration
 # ---------------------------------------------------------------------------
 
-_PHASE_KEYS = {
-    "static": {"family"},
-    "dynamic": {"family", "motion", "use_analytic"},
-    "fanbeam": {"family", "R", "support_radius", "t_margin"},
+# One table states every config value: its JSON type and range, and its
+# default.  A block is a dict of key -> _Key; a block whose ``selector`` key
+# names a family is a _Families; [block] is a list of blocks.  Any other
+# kind is a (description, test) pair.  Ranges that depend on several values,
+# such as a fan source inside the domain, are left to the constructors.
+
+
+def _real(v):
+    """A JSON number a finite float can hold: an int or a float, not a bool
+    or a string.  The bound refuses NaN and infinities, and an int too large
+    to convert."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _pair(v):
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_real, v))
+
+
+def _count(minimum):
+    return (f"an integer of at least {minimum}",
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum)
+
+
+_NUMBER = ("a finite number", _real)
+_POSITIVE = ("a positive number", lambda v: _real(v) and v > 0)
+_NONNEGATIVE = ("a number of at least 0", lambda v: _real(v) and v >= 0)
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+_PAIR = ("two finite numbers", _pair)
+_POSITIVE_PAIR = ("two positive numbers", lambda v: _pair(v) and min(v) > 0)
+_RANGE = ("two finite, increasing numbers", lambda v: _pair(v) and v[0] < v[1])
+_CUBIC = ("'cubic' (the bilinear spline was removed)", lambda v: v == "cubic")
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """A value's kind and default.  A default of None is left to the code
+    that receives the value, which gets it only when given: a constructor's
+    own default, or one build_geometry works out."""
+    kind: object
+    default: object = None
+
+
+class _Families(NamedTuple):
+    selector: str
+    tables: dict
+
+
+def _filled(block, table):
+    """``block`` and the table's defaults of the values it leaves out."""
+    return {**{k: d for k, (_, d) in table.items() if d is not None and d is not _REQUIRED},
+            **block}
+
+
+# the smallest sizes the transform and its grids can use: two pixels, and
+# two samples per axis to give a spacing
+_IMAGE = {"nx": _Key(_count(2), 64), "support_radius": _Key(_POSITIVE, 1.0)}
+_SINOGRAM = {"ns": _Key(_count(2)),     # default_ns(nx), in build_geometry
+             "nt": _Key(_count(2), 180), "s_range": _Key(_RANGE)}
+_ATLAS = {"n_charts": _Key(_count(1), 1)}
+_MOTION = _Families("name", {
+    "identity": {},
+    "rotation": {"rate": _Key(_NUMBER)},
+    "affine": {"amplitude": _Key(_NUMBER)},
+    "breathing": {k: _Key(_NUMBER) for k in ("amplitude", "r_flat", "r_support")},
+})
+_PHASE = _Families("family", {
+    "static": {},
+    "dynamic": {"motion": _Key(_MOTION, {"name": "identity"}), "use_analytic": _Key(_BOOLEAN)},
+    # support_radius: 1.05 times the image's, in build_geometry
+    "fanbeam": {"R": _Key(_POSITIVE, 3.0), "support_radius": _Key(_POSITIVE),
+                "t_margin": _Key(_NONNEGATIVE)},
+})
+_WEIGHT = _Families("name", {
+    "unit": {},
+    "bump": {"amplitude": _Key(_NUMBER), "center": _Key(_PAIR), "width": _Key(_POSITIVE)},
+})
+_ELLIPSE = {"center": _Key(_PAIR, _REQUIRED), "semi_axes": _Key(_POSITIVE_PAIR, _REQUIRED),
+            "angle": _Key(_NUMBER), "density": _Key(_NUMBER)}
+# an absent block is stored as its default: in full for the image and the
+# atlas, empty for the sinogram, as the config hash has always had them
+_CONFIG = {
+    "phase": _Key(_PHASE, {"family": "static"}),
+    "weight": _Key(_WEIGHT, {"name": "unit"}),
+    "image": _Key(_IMAGE, _filled({}, _IMAGE)),
+    "sinogram": _Key(_SINOGRAM, {}),
+    "atlas": _Key(_ATLAS, _filled({}, _ATLAS)),
+    "t_range": _Key(_RANGE),
+    "seed": _Key(_count(0)),
+    "interp": _Key(_CUBIC),
+    "chunk_t": _Key(_count(1)),
+    "phantom": _Key([_ELLIPSE]),
 }
-_MOTION_KEYS = {
-    "identity": {"name"},
-    "rotation": {"name", "rate"},
-    "affine": {"name", "amplitude"},
-    "breathing": {"name", "amplitude", "r_flat", "r_support"},
-}
-_WEIGHT_KEYS = {
-    "unit": {"name"},
-    "bump": {"name", "amplitude", "center", "width"},
-}
-_TOP_KEYS = {"phase", "weight", "t_range", "image", "sinogram", "atlas", "seed",
-             "interp", "chunk_t", "phantom"}
-_IMAGE_KEYS = {"nx", "support_radius"}
-_SINO_KEYS = {"ns", "nt", "s_range"}
-_ATLAS_KEYS = {"n_charts"}
-_ELLIPSE_KEYS = {"center", "semi_axes", "angle", "density"}
 
 
-def _reject_unknown(d, allowed, where):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _check_number(d, key, where, minimum, kind=int):
-    """``d[key]`` converted to ``kind``, or None if absent; ConfigError
-    unless it converts to a finite value of at least ``minimum``."""
-    if key not in d:
-        return None
-    try:
-        value = kind(d[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key} must be a number, got {d[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {d[key]!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}.{key} must be at least {minimum}, got {d[key]!r}")
+def _check(kind, value, path):
+    """``value`` as the config stores it; ConfigError naming ``path`` unless
+    it is of ``kind``.  An absent block is stored as its default, an absent
+    number is not stored."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_check(kind[0], v, f"{path}[{k}]") for k, v in enumerate(value)]
+    if isinstance(kind, (dict, _Families)) and not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object, got {value!r}")
+    if isinstance(kind, _Families):
+        name = value.get(kind.selector)
+        if not isinstance(name, str) or name not in kind.tables:
+            raise ConfigError(f"{path}.{kind.selector} must be one of "
+                              f"{sorted(kind.tables)}, got {name!r}")
+        rest = {k: v for k, v in value.items() if k != kind.selector}
+        return {kind.selector: name, **_check(kind.tables[name], rest, path)}
+    if isinstance(kind, dict):
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown keys {sorted(unknown, key=str)} in "
+                              f"{path or 'config root'}")
+        out = {}
+        for key, (sub, default) in kind.items():
+            where = f"{path}.{key}" if path else key
+            if key in value:
+                out[key] = _check(sub, value[key], where)
+            elif default is _REQUIRED:
+                raise ConfigError(f"{where} is required")
+            elif isinstance(sub, (dict, _Families)):
+                out[key] = dict(default)
+        return out
+    what, ok = kind
+    if not ok(value):
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
     return value
-
-
-def _check_real(d, key, where):
-    """``_check_number`` for a float of any sign."""
-    return _check_number(d, key, where, -math.inf, kind=float)
-
-
-def _check_positive(d, key, where):
-    """``_check_number`` for a float that must be above 0."""
-    if _check_number(d, key, where, 0.0, kind=float) == 0.0:
-        raise ConfigError(f"{where}.{key} must be positive, got {d[key]!r}")
-
-
-def _finite_pair(value):
-    """``value`` as a list of two finite floats, or None if it is not one."""
-    try:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            pair = [float(value[0]), float(value[1])]
-            if math.isfinite(pair[0]) and math.isfinite(pair[1]):
-                return pair
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return None
-
-
-def _check_range(value, where):
-    """``value`` as two floats; ConfigError unless it is two finite,
-    increasing numbers."""
-    pair = _finite_pair(value)
-    if pair is None or not pair[0] < pair[1]:
-        raise ConfigError(f"{where} must be two finite, increasing numbers, got {value!r}")
-    return pair
-
-
-def _check_ellipse(e, where):
-    """ConfigError unless the phantom entry ``e`` has only known keys, a
-    numeric center pair, a positive semi_axes pair and, if given, a numeric
-    angle and density."""
-    if not isinstance(e, dict):
-        raise ConfigError(f"{where} must be an object, got {e!r}")
-    _reject_unknown(e, _ELLIPSE_KEYS, where)
-    _check_real(e, "angle", where)
-    _check_real(e, "density", where)
-    if _finite_pair(e.get("center")) is None:
-        raise ConfigError(f"{where}.center must be two numbers, got {e.get('center')!r}")
-    axes = _finite_pair(e.get("semi_axes"))
-    if axes is None or min(axes) <= 0.0:
-        raise ConfigError(f"{where}.semi_axes must be two positive numbers, "
-                          f"got {e.get('semi_axes')!r}")
 
 
 @dataclass
@@ -228,73 +269,10 @@ class GeometryConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config root")
-        phase = dict(raw.get("phase", {"family": "static"}))
-        fam = phase.get("family")
-        if fam not in _PHASE_KEYS:
-            raise ConfigError(f"unknown phase family {fam!r}")
-        _reject_unknown(phase, _PHASE_KEYS[fam], f"phase ({fam})")
-        # each family's numbers are checked here; the ranges that depend on
-        # several of them are checked by the constructors in build_geometry
-        if fam == "dynamic":
-            motion = dict(phase.get("motion", {"name": "identity"}))
-            name = motion.get("name")
-            if name not in _MOTION_KEYS:
-                raise ConfigError(f"unknown motion family {name!r}")
-            _reject_unknown(motion, _MOTION_KEYS[name], f"motion ({name})")
-            for key in sorted(_MOTION_KEYS[name] - {"name"}):
-                _check_real(motion, key, f"motion ({name})")
-            phase["motion"] = motion
-        elif fam == "fanbeam":
-            _check_positive(phase, "R", "phase (fanbeam)")
-            _check_positive(phase, "support_radius", "phase (fanbeam)")
-            _check_number(phase, "t_margin", "phase (fanbeam)", 0.0, kind=float)
-        weight = dict(raw.get("weight", {"name": "unit"}))
-        wname = weight.get("name")
-        if wname not in _WEIGHT_KEYS:
-            raise ConfigError(f"unknown weight family {wname!r}")
-        _reject_unknown(weight, _WEIGHT_KEYS[wname], f"weight ({wname})")
-        if wname == "bump":
-            _check_real(weight, "amplitude", "weight (bump)")
-            _check_positive(weight, "width", "weight (bump)")
-            if "center" in weight and _finite_pair(weight["center"]) is None:
-                raise ConfigError(f"weight (bump).center must be two numbers, "
-                                  f"got {weight['center']!r}")
-        image = dict(raw.get("image", {"nx": 64, "support_radius": 1.0}))
-        _reject_unknown(image, _IMAGE_KEYS, "image")
-        sinogram = dict(raw.get("sinogram", {}))
-        _reject_unknown(sinogram, _SINO_KEYS, "sinogram")
-        atlas = dict(raw.get("atlas", {"n_charts": 1}))
-        _reject_unknown(atlas, _ATLAS_KEYS, "atlas")
-        # the smallest sizes the transform and its grids can use: two
-        # pixels, and two samples per axis to give a spacing
-        _check_number(image, "nx", "image", 2)
-        _check_positive(image, "support_radius", "image")
-        _check_number(sinogram, "ns", "sinogram", 2)
-        _check_number(sinogram, "nt", "sinogram", 2)
-        _check_number(atlas, "n_charts", "atlas", 1)
-        chunk_t = _check_number(raw, "chunk_t", "config", 1)
-        seed = _check_number(raw, "seed", "config", 0)
-        interp = raw.get("interp", "cubic")
-        if interp != "cubic":
-            raise ConfigError(f"interp must be 'cubic', got {interp!r}: the bilinear "
-                              "spline was removed")
-        t_range = raw.get("t_range")
-        if t_range is not None:
-            t_range = _check_range(t_range, "t_range")
-        if sinogram.get("s_range") is not None:
-            _check_range(sinogram["s_range"], "sinogram.s_range")
-        phantom = raw.get("phantom")
-        if phantom is not None and not isinstance(phantom, list):
-            raise ConfigError("phantom must be a list of ellipse specs")
-        for k, e in enumerate(phantom or ()):
-            _check_ellipse(e, f"phantom[{k}]")
-        return cls(phase=phase, weight=weight, image=image, sinogram=sinogram,
-                   atlas=atlas, t_range=t_range,
-                   seed=DEFAULT_SEED if seed is None else seed, interp=interp,
-                   chunk_t=4 if chunk_t is None else chunk_t, phantom=phantom)
+        values = _check(_CONFIG, raw, "")
+        if "t_range" in values:     # stored as floats, as it always was
+            values["t_range"] = [float(t) for t in values["t_range"]]
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text):
@@ -306,8 +284,7 @@ class GeometryConfig:
         return cls.from_dict(raw)
 
     def to_dict(self):
-        out = {k: v for k, v in asdict(self).items() if v is not None}
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -315,51 +292,48 @@ class GeometryConfig:
     def hash(self):
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
+    def settings(self, block):
+        """The values of ``block`` ("phase", "weight", "image", "sinogram" or
+        "atlas"): those given, and the table's defaults of the others, but
+        not the defaults that a constructor states."""
+        values = getattr(self, block)
+        kind = _CONFIG[block].kind
+        if isinstance(kind, _Families):
+            kind = kind.tables[values[kind.selector]]
+        return _filled(values, kind)
+
+
+_WEIGHTS = {"unit": UnitWeight, "bump": BumpWeight}
+
 
 def build_geometry(config):
     """Instantiate (phase, weight, sino_spec, image factory) from a config.
 
     A range the constructors refuse, such as a fan source inside the domain
     or a breathing amplitude that folds the motion, is a ConfigError."""
-    phase_cfg = config.phase
-    fam = phase_cfg["family"]
-    image_kw = {"nx": int(config.image.get("nx", 64)),
-                "support_radius": float(config.image.get("support_radius", 1.0))}
-    wcfg = dict(config.weight)
-    wname = wcfg.pop("name")
+    image = config.settings("image")
+    image_kw = {"nx": image["nx"], "support_radius": float(image["support_radius"])}
+    phase = config.settings("phase")
+    family = phase.pop("family")
+    weight = config.settings("weight")
     try:
-        if fam == "static":
+        if family == "static":
             pf = make_static_phase()
-        elif fam == "dynamic":
-            mcfg = dict(phase_cfg["motion"])
-            name = mcfg.pop("name")
-            motion = make_motion(name, **mcfg)
-            pf = make_dynamic_phase(motion, use_analytic=phase_cfg.get("use_analytic", True))
+        elif family == "dynamic":
+            pf = make_dynamic_phase(make_motion(**phase.pop("motion")), **phase)
         else:
-            pf = make_fanbeam_phase(
-                float(phase_cfg.get("R", 3.0)),
-                support_radius=float(phase_cfg.get("support_radius",
-                                                   1.05 * image_kw["support_radius"])),
-                t_margin=float(phase_cfg.get("t_margin", 0.05)),
-            )
-        if wname == "unit":
-            mu = UnitWeight()
-        else:
-            if "center" in wcfg:
-                wcfg["center"] = tuple(wcfg["center"])
-            mu = BumpWeight(**wcfg)
+            phase.setdefault("support_radius", 1.05 * image_kw["support_radius"])
+            pf = make_fanbeam_phase(**phase)
+        mu = _WEIGHTS[weight.pop("name")](**weight)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if config.t_range is not None:
         pf.t_range = tuple(config.t_range)
-    nx = image_kw["nx"]
-    sino = config.sinogram
-    spec = SinoSpec(
-        ns=int(sino.get("ns", int(nx * 1.05) + 1)),
-        nt=int(sino.get("nt", 180)),
-        s_range=tuple(sino["s_range"]) if sino.get("s_range") else None,
-    )
-    return pf, mu, spec, image_kw
+    sino = config.settings("sinogram")
+    sino.setdefault("ns", default_ns(image_kw["nx"]))
+    if "s_range" in sino:
+        sino["s_range"] = tuple(sino["s_range"])
+    return pf, mu, SinoSpec(**sino), image_kw
 
 
 # ---------------------------------------------------------------------------

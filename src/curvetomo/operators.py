@@ -190,6 +190,12 @@ class SinoSpec:
     s_range: tuple | None = None
 
 
+def default_ns(nx):
+    """The number of s samples for an nx-pixel image when none is given:
+    floor(1.05 nx) + 1."""
+    return int(nx * 1.05) + 1
+
+
 def _phase_range(pf, t, pts):
     """Min and max of phi over every (point, time) pair on the phase's
     branch, from one evaluation of (points, 1, 2) against the times, which

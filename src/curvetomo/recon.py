@@ -37,6 +37,7 @@ from .operators import (
     LevelSetTransform,
     NormalOperator,
     SinoSpec,
+    default_ns,
     make_image_grid,
 )
 
@@ -116,8 +117,8 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
     in the P^-1 norm relative to the right-hand side's,
     sqrt(<r, P^-1 r> / <b, P^-1 b>); it is non-increasing, and ``tol``
     applies to it.  DivergenceError is raised after 5 consecutive increases
-    of more than 1e-10; with residual-minimal steps only rounding can make
-    the history rise.
+    of more than 1e-10, and at once when the residual is not finite; with
+    residual-minimal steps only rounding can make the history rise.
 
     ``SolveReport.runtime`` is the wall time of the whole call.  On a
     transform not yet used it includes the lazy set-up: ``back_data``
@@ -172,6 +173,8 @@ def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=Non
         r = r - alpha * Np
         z = z - alpha * PNp
         res = math.sqrt(max(float(np.sum(r * z)), 0.0)) / b_norm
+        if not math.isfinite(res):
+            raise DivergenceError(f"residual is {res} after {it + 1} iterations")
         if res > prev + 1e-10:
             rises += 1
             if rises >= 5:
@@ -288,7 +291,7 @@ def stability_probe(motion_family, amplitudes, n_samples, nx=64, nt=180,
     if 0 not in [a for a in amplitudes] and 0.0 not in amplitudes:
         raise ValueError("amplitudes must include 0 (static reference)")
     fields = band_limited_ensemble(nx, n_samples, seed=seed)
-    spec = SinoSpec(ns=int(nx * 1.05) + 1, nt=nt)
+    spec = SinoSpec(ns=default_ns(nx), nt=nt)
     ratios = {}
     for a in amplitudes:
         pf = make_dynamic_phase(motion_family(a))
@@ -328,7 +331,7 @@ def perturbation_sweep(deltas, nx=64, nt=180, seed=ENSEMBLE_SEED):
     positive deltas.
     """
     probe_f = band_limited_ensemble(nx, 1, seed=seed)[0]
-    spec = SinoSpec(ns=int(nx * 1.05) + 1, nt=nt,
+    spec = SinoSpec(ns=default_ns(nx), nt=nt,
                     s_range=(-1.05 * probe_f.support_radius, 1.05 * probe_f.support_radius))
 
     def build(delta):

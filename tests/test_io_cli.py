@@ -160,6 +160,41 @@ def test_config_rejects_unknown_keys(raw):
         GeometryConfig.from_dict(raw)
 
 
+_ROTATION_ATLAS = {  # perfbench's cli_rotation_atlas config at seed 1
+    "phase": {"family": "dynamic", "motion": {"name": "rotation", "rate": 0.3}},
+    "weight": {"name": "unit"}, "image": {"nx": 64, "support_radius": 1.0},
+    "sinogram": {"ns": 68, "nt": 180}, "atlas": {"n_charts": 2}, "seed": 1,
+    "phantom": [{"center": [-0.12, 0.08], "semi_axes": [0.5, 0.5], "angle": 0.0,
+                 "density": 1.0450463696325936},
+                {"center": [0.24718750000000003, -0.2528125], "semi_axes": [0.32, 0.15],
+                 "angle": 0.4363323129985824, "density": 0.5224324723568622}],
+}
+
+
+@pytest.mark.parametrize("raw, digest", [
+    ({}, "46d90c2abfa50bfe"),
+    ({"phase": {"family": "dynamic", "motion": {"name": "breathing", "amplitude": 0.05}},
+      "weight": {"name": "unit"}, "image": {"nx": 128, "support_radius": 1.0},
+      "sinogram": {"ns": 135, "nt": 360}, "atlas": {"n_charts": 1}, "seed": 12648430},
+     "0217318fe179d780"),
+    ({"phase": {"family": "fanbeam", "R": 3.0, "t_margin": 0.05}, "image": {"nx": 16}},
+     "1ab5538fcadaeade"),
+    ({"t_range": [0, 3], "image": {"nx": 16},
+      "sinogram": {"ns": 17, "nt": 24, "s_range": [-1.2, 1]},
+      "weight": {"name": "bump", "amplitude": 0.2, "center": [0.1, 0], "width": 0.5},
+      "phantom": [{"center": [0.0, 0.1], "semi_axes": [0.3, 0.2], "angle": 0.5},
+                  {"center": [-0.2, 0], "semi_axes": [0.2, 0.2], "density": 2}]},
+     "27f1684950b28426"),
+    (_ROTATION_ATLAS, "2a35d058caa9d8b5"),
+    ({"phase": {"family": "dynamic"}}, "e8fc1b1d45eb7e40"),
+], ids=["empty", "readme", "fan", "ranges_bump_phantom", "rotation_atlas", "dynamic_default"])
+def test_config_hash_pinned(raw, digest):
+    """The config hash every manifest and grid sidecar records: the stored
+    form of a config (which defaults are written in, t_range as floats, the
+    other numbers as given) must not drift."""
+    assert GeometryConfig.from_dict(raw).hash() == digest
+
+
 def test_config_malformed_json_diagnostics():
     with pytest.raises(ConfigError) as exc:
         GeometryConfig.from_json("{broken")
@@ -365,6 +400,24 @@ def test_cli_bad_config_exit_2(tmp_path):
         for command in (["phantom"], ["forward", "--image", str(tmp_path / "none.grid")]):
             assert main(command + ["--config", str(bad),
                                    "--out-dir", str(tmp_path / "o")]) == 2, (command, raw)
+    # values the config checked in one form and the program used in another:
+    # each ran (exit 0) on a number other than the one the hash records, or
+    # crashed with a traceback.  Counts are JSON integers, so 16.0 is refused.
+    small = {"image": {"nx": 16}, "sinogram": {"ns": 9, "nt": 8}}
+    rotation = {"family": "dynamic", "motion": {"name": "rotation"}}
+    for raw in ({"phantom": [dict(ellipse, center=["0", "0"])]},
+                {"phantom": [dict(ellipse, semi_axes=["0.3", 0.2])]},
+                {"sinogram": {"s_range": ["-1", 1]}},
+                {"image": {"nx": 16.7}}, {"image": {"nx": 16.0}}, {"image": {"nx": "16"}},
+                {"image": {"nx": 16, "support_radius": "1"}},
+                {"seed": True}, {"chunk_t": 1.5}, {"atlas": {"n_charts": 2.5}},
+                {"phase": dict(rotation, motion={"name": "rotation", "rate": "0.3"})},
+                {"phase": dict(rotation, motion={"name": "rotation", "rate": True})},
+                {"weight": {"name": "bump", "center": ["0.1", 0]}},
+                {"phase": {"family": "dynamic", "use_analytic": "no"}}):
+        bad.write_text(json.dumps(dict(small, **raw)))
+        assert main(["phantom", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")]) == 2, raw
     # ranges the phase constructors refuse: a fan source inside the domain's
     # corner radius, a breathing amplitude beyond the taper bound
     for raw in ({"phase": {"family": "fanbeam", "R": 0.5}},
@@ -403,6 +456,18 @@ def tiny_run(tmp_path_factory):
     ["check-bolker", "--times", "0"],
     ["phantom", "--config", "{root}/missing.json"],
     ["reconstruct", "--data", "{root}/nofile"],
+    # float flags once taken unchecked: a NaN tolerance passed every check,
+    # a NaN Tikhonov weight wrote a NaN reconstruction, and the rest exited
+    # 0, 1 or 4
+    ["adjoint-test", "--tol", "nan"],
+    ["reconstruct", "--data", "{sino}", "--tol", "-1"],
+    ["reconstruct", "--data", "{sino}", "--tikhonov", "nan"],
+    ["symbol", "--xi-norm", "nan"],
+    ["symbol", "--xi-norm", "0"],
+    ["fanbeam-convert", "--data", "{sino}", "--R", "nan"],
+    ["fanbeam-convert", "--data", "{sino}", "--R", "-3"],
+    ["stability", "--amplitudes", "0.02"],   # no static reference
+    ["adjoint-test", "--seed", "-5"],        # once NumPy's ValueError
 ], ids=lambda a: " ".join(a))
 def test_cli_bad_argument_exit_2(tiny_run, args):
     """Malformed points, lists and counts, and unreadable config or data
@@ -416,6 +481,15 @@ def test_cli_bad_argument_exit_2(tiny_run, args):
     except SystemExit as exc:
         code = exc.code
     assert code == 2
+
+
+def test_cli_seed_zero_recorded(tiny_run):
+    """--seed 0 is a seed, not an absent one: the manifest once recorded the
+    config's seed instead."""
+    out = tiny_run / "seed0"
+    assert main(["phantom", "--config", str(tiny_run / "cfg.json"), "--seed", "0",
+                 "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
 
 
 def test_cli_limited_angle_visibility_exit_4(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from curvetomo import (
     CovectorSample,
     CutoffAtlas,
+    DivergenceError,
     NormalOperator,
     SinoSpec,
     UnitWeight,
@@ -112,6 +113,14 @@ def test_cg_tikhonov_shrinks(solver_setup):
     rec0, _ = cg_normal_solve(op, data, max_iter=15, tol=1e-12)
     rec1, _ = cg_normal_solve(op, data, max_iter=15, tol=1e-12, tikhonov=1.0)
     assert rec1.norm() < rec0.norm()
+
+
+def test_cg_non_finite_residual_diverges(solver_setup):
+    """A NaN residual compares False against the rise test, so it once ran
+    silently to max_iter; it raises at the first iteration."""
+    _, _, op, data = solver_setup
+    with pytest.raises(DivergenceError, match="residual is nan after 1 iterations"):
+        cg_normal_solve(op, data, max_iter=5, tikhonov=float("nan"))
 
 
 def test_cg_ten_iterations_accurate(solver_setup):
