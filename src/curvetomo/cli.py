@@ -30,7 +30,14 @@ from .errors import (
 )
 from .geometry import TWO_PI, BreathingMotion, RotationMotion, fd_derivatives
 from .io_cli import (
+    _AMPLITUDES,
+    _NONNEGATIVE,
+    _NUMBERS,
+    _PAIR,
+    _PHASE,
+    _POSITIVE,
     GeometryConfig,
+    _count,
     build_geometry,
     crc64,
     fanbeam_convert,
@@ -51,61 +58,24 @@ from .phantom import EllipseSpec, boundary_wavefront, default_phantom, render_ph
 from .recon import cg_normal_solve, landweber_solve, perturbation_sweep, stability_probe
 
 
-def _numbers(text):
-    """argparse type: a non-empty comma-separated list of finite numbers."""
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"numbers must be finite, got {text!r}")
-    return values
+def _floats(text):
+    return [float(v) for v in text.split(",")]
 
 
-def _amplitudes(text):
-    """argparse type: ``_numbers`` including 0, the static reference."""
-    values = _numbers(text)
-    if 0.0 not in values:
-        raise argparse.ArgumentTypeError(f"amplitudes must include 0, got {text!r}")
-    return values
+def _flag(kind, parse=float):
+    """argparse type: ``parse`` of the text, refused with exit 2 unless it is
+    a config value of ``kind``, one of io_cli's kinds."""
+    what, ok = kind
 
-
-def _point(text):
-    """argparse type: a point x1,x2 of exactly two finite numbers."""
-    values = _numbers(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected a point x1,x2, got {text!r}")
-    return np.array(values)
-
-
-def _finite(minimum, strict=False):
-    """argparse type: a finite number of at least ``minimum``, or above it
-    when ``strict``."""
-    def parse(text):
+    def check(text):
         try:
-            value = float(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number {'above' if strict else 'of at least'} {minimum}, "
-                f"got {text!r}")
+            value = None        # no value of any kind
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
-    return parse
-
-
-def _count(minimum):
-    """argparse type: an integer of at least ``minimum``."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-    return parse
+    return check
 
 
 def _load_config(path):
@@ -119,16 +89,11 @@ def _load_config(path):
     return GeometryConfig.from_json(text)
 
 
-def _file_checksum(path):
-    with open(path, "rb") as fh:
-        return crc64(fh.read())
-
-
 class _Run:
-    """Collects manifest data for one pipeline invocation."""
+    """One invocation's manifest: each input grid it reads and each artifact
+    it writes into ``--out-dir`` is recorded with its checksum."""
 
     def __init__(self, args, config):
-        self.args = args
         self.config = config
         self.out_dir = args.out_dir
         os.makedirs(self.out_dir, exist_ok=True)
@@ -144,32 +109,43 @@ class _Run:
             "metrics": {},
         }
 
-    def add_input(self, path, sidecar):
+    def read_grid(self, path):
+        obj, sidecar = read_grid_file(path)
         # the checksum read_grid_file verified against the payload
         self.manifest["inputs"][os.path.basename(path)] = sidecar["checksum"]
+        return obj
 
-    def write_grid(self, name, obj):
-        path = os.path.join(self.out_dir, name)
-        sidecar = write_grid_file(path, obj, geometry_hash=self.config.hash())
+    def write_grid(self, stem, obj):
+        """``<stem>.grid`` with its sidecar, and its ``<stem>.pgm`` quicklook."""
+        name = stem + ".grid"
+        sidecar = write_grid_file(os.path.join(self.out_dir, name), obj,
+                                  geometry_hash=self.config.hash())
         self.manifest["outputs"][name] = sidecar["checksum"]
-        return path
-
-    def write_text(self, name, text):
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
-        self.manifest["outputs"][name] = _file_checksum(path)
+        self.write_pgm(stem + ".pgm", obj.values)
 
     def write_pgm(self, name, array):
-        path = os.path.join(self.out_dir, name)
-        write_pgm16(path, array)
-        self.manifest["outputs"][name] = _file_checksum(path)
+        write_pgm16(os.path.join(self.out_dir, name), array)
+        self._record(name)
+
+    def write_csv(self, name, rows):
+        self._write_text(name, "\n".join(",".join(r) for r in rows) + "\n")
+
+    def write_json(self, name, payload):
+        self._write_text(name, json.dumps(payload, sort_keys=True, indent=1))
+
+    def _write_text(self, name, text):
+        with open(os.path.join(self.out_dir, name), "w") as fh:
+            fh.write(text)
+        self._record(name)
+
+    def _record(self, name):
+        with open(os.path.join(self.out_dir, name), "rb") as fh:
+            self.manifest["outputs"][name] = crc64(fh.read())
 
     def finish(self):
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=1)
-        return 0
 
 
 def _phantom_from_config(config, nx, support_radius):
@@ -192,27 +168,21 @@ def _transform(config, image_like=None):
 def cmd_phantom(args, config, run):
     _, _, _, image_kw = build_geometry(config)
     specs, img = _phantom_from_config(config, image_kw["nx"], image_kw["support_radius"])
-    run.write_grid("phantom.grid", img)
-    wfs = boundary_wavefront(specs, n_per_ellipse=max(8, args.wavefront_samples))
-    rows = [["x1", "x2", "xi1", "xi2"]]
-    rows += [[f"{c.x[0]:.12g}", f"{c.x[1]:.12g}", f"{c.xi[0]:.12g}", f"{c.xi[1]:.12g}"]
-             for c in wfs.samples]
-    run.write_text("wavefront.csv", "\n".join(",".join(r) for r in rows) + "\n")
-    run.write_pgm("phantom.pgm", img.values)
-    return run.finish()
+    run.write_grid("phantom", img)
+    wfs = boundary_wavefront(specs, n_per_ellipse=args.wavefront_samples)
+    run.write_csv("wavefront.csv", [["x1", "x2", "xi1", "xi2"]] + [
+        [f"{c.x[0]:.12g}", f"{c.x[1]:.12g}", f"{c.xi[0]:.12g}", f"{c.xi[1]:.12g}"]
+        for c in wfs.samples])
 
 
 def cmd_forward(args, config, run):
-    img, sidecar = read_grid_file(args.image)
-    run.add_input(args.image, sidecar)
+    img = run.read_grid(args.image)
     _, _, tr = _transform(config, img)
     g = tr.forward(img)
     n_nan = int(np.sum(~np.isfinite(g.values)))
     run.manifest["metrics"]["nan_samples"] = n_nan
     run.manifest["metrics"].update(tr.stats)
-    run.write_grid("sinogram.grid", g)
-    run.write_pgm("sinogram.pgm", g.values)
-    return run.finish()
+    run.write_grid("sinogram", g)
 
 
 def cmd_adjoint_test(args, config, run):
@@ -234,7 +204,6 @@ def cmd_adjoint_test(args, config, run):
     run.manifest["metrics"].update(tr.stats)
     if worst > args.tol:
         raise NumericBudgetError(f"adjoint discrepancy {worst:.3e} exceeds {args.tol}")
-    return run.finish()
 
 
 def cmd_check_bolker(args, config, run):
@@ -257,24 +226,23 @@ def cmd_check_bolker(args, config, run):
                              f"{frame.h:.12g}", str(rank), f"{det:.12g}"])
                 if t == t_vals[0]:
                     h_map[i, j] = abs(frame.h)
-    run.write_text("bolker.csv", "\n".join(",".join(r_) for r_ in rows) + "\n")
+    run.write_csv("bolker.csv", rows)
     run.write_pgm("bolker_h.pgm", h_map)
     h_vals = np.array([float(r_[3]) for r_ in rows[1:]])
     run.manifest["metrics"]["min_abs_h"] = float(np.min(np.abs(h_vals)))
     run.manifest["metrics"]["max_abs_h"] = float(np.max(np.abs(h_vals)))
-    return run.finish()
 
 
 def cmd_visibility(args, config, run):
     pf, _, _, image_kw = build_geometry(config)
-    x = args.point
+    x = np.array(args.point)
     vm = visibility_map(pf, x, args.n_dirs)
     rows = [["dir1", "dir2", "count", "witnesses"]]
     for i in range(len(vm.directions)):
         wit = ";".join(f"{t:.9g}" for t, _ in vm.t_witness[i])
         rows.append([f"{vm.directions[i,0]:.9g}", f"{vm.directions[i,1]:.9g}",
                      str(int(vm.count[i])), wit])
-    run.write_text("visibility.csv", "\n".join(",".join(r_) for r_ in rows) + "\n")
+    run.write_csv("visibility.csv", rows)
     # coarse count heatmap over the support
     n = 17
     r = image_kw["support_radius"]
@@ -289,7 +257,6 @@ def cmd_visibility(args, config, run):
     run.manifest["metrics"]["visible_fraction"] = frac
     if args.require_full and frac < 1.0:
         raise CoverageError(f"only {frac:.2%} of directions visible at {x.tolist()}")
-    return run.finish()
 
 
 def cmd_symbol(args, config, run):
@@ -299,29 +266,24 @@ def cmd_symbol(args, config, run):
     for k in range(args.n_dirs):
         ang = TWO_PI * k / args.n_dirs
         xi = np.array([math.cos(ang), math.sin(ang)]) * args.xi_norm
-        sv = principal_symbol(pf, mu, atlas, args.point, xi)
+        sv = principal_symbol(pf, mu, atlas, np.array(args.point), xi)
         rows.append([f"{xi[0]:.9g}", f"{xi[1]:.9g}", f"{sv.p:.12g}", f"{sv.W_plus:.12g}",
                      f"{sv.W_minus:.12g}", f"{sv.h_tilde:.12g}", str(sv.visible),
                      "" if sv.t_used is None else f"{sv.t_used:.9g}"])
-    run.write_text("symbol.csv", "\n".join(",".join(r_) for r_ in rows) + "\n")
-    return run.finish()
+    run.write_csv("symbol.csv", rows)
 
 
 def cmd_normal(args, config, run):
-    img, sidecar = read_grid_file(args.image)
-    run.add_input(args.image, sidecar)
+    img = run.read_grid(args.image)
     pf, _, tr = _transform(config, img)
     atlas = build_default_atlas(pf, img.support_radius, config.settings("atlas")["n_charts"])
     Nf = NormalOperator(tr, atlas, symmetric=args.symmetric).apply(img)
     run.manifest["metrics"].update(tr.stats)
-    run.write_grid("normal.grid", Nf)
-    run.write_pgm("normal.pgm", Nf.values)
-    return run.finish()
+    run.write_grid("normal", Nf)
 
 
 def cmd_reconstruct(args, config, run):
-    g, sidecar = read_grid_file(args.data)
-    run.add_input(args.data, sidecar)
+    g = run.read_grid(args.data)
     pf, img, tr = _transform(config)
     atlas = build_default_atlas(pf, img.support_radius, config.settings("atlas")["n_charts"])
     op = NormalOperator(tr, atlas, symmetric=True)
@@ -331,33 +293,30 @@ def cmd_reconstruct(args, config, run):
     else:
         rec, report = landweber_solve(op, g, max_iter=args.iters,
                                       seed=run.manifest["seed"])
-    run.write_grid("reconstruction.grid", rec)
-    run.write_pgm("reconstruction.pgm", rec.values)
+    run.write_grid("reconstruction", rec)
     run.manifest["metrics"].update({
         "iterations": report.iterations,
         "final_residual": report.residual_history[-1] if report.residual_history else 0.0,
         "runtime_s": report.runtime,
         **tr.stats,
     })
-    run.write_text("solve_report.json", json.dumps({
+    run.write_json("solve_report.json", {
         "iterations": report.iterations,
         "residual_history": report.residual_history,
         "runtime": report.runtime,
         "iteration_s": report.iteration_s,
-    }, sort_keys=True, indent=1))
-    return run.finish()
+    })
+
+
+# the stability probe's motion families, each a map from amplitude to motion
+_STABILITY_FAMILIES = {"breathing": BreathingMotion, "rotation": lambda a: RotationMotion(-a)}
 
 
 def cmd_stability(args, config, run):
-    if args.family == "breathing":
-        family = lambda a: BreathingMotion(a)  # noqa: E731
-    elif args.family == "rotation":
-        family = lambda a: RotationMotion(-a)  # noqa: E731
-    else:
-        raise ConfigError(f"unknown stability family {args.family!r}")
-    report = stability_probe(family, args.amplitudes, n_samples=args.samples,
-                             nx=args.nx, nt=args.nt, seed=run.manifest["seed"])
-    payload = {
+    report = stability_probe(_STABILITY_FAMILIES[args.family], args.amplitudes,
+                             n_samples=args.samples, nx=args.nx, nt=args.nt,
+                             seed=run.manifest["seed"])
+    run.write_json("stability.json", {
         "amplitudes": report.amplitudes,
         "ratios": {str(a): r for a, r in report.ratios.items()},
         "median_ratio": {str(a): v for a, v in report.median_ratio.items()},
@@ -365,59 +324,31 @@ def cmd_stability(args, config, run):
         "min_ratio": {str(a): v for a, v in report.min_ratio.items()},
         "degenerate_flags": {str(a): v for a, v in report.degenerate_flags.items()},
         "seed": report.seed,
-    }
-    run.write_text("stability.json", json.dumps(payload, sort_keys=True, indent=1))
-    rows = [["amplitude", "sample", "ratio"]]
-    for a in report.amplitudes:
-        for i, r in enumerate(report.ratios[a]):
-            rows.append([f"{a:.9g}", str(i), f"{r:.12g}"])
-    run.write_text("stability.csv", "\n".join(",".join(r_) for r_ in rows) + "\n")
-    return run.finish()
+    })
+    run.write_csv("stability.csv", [["amplitude", "sample", "ratio"]] + [
+        [f"{a:.9g}", str(i), f"{r:.12g}"]
+        for a in report.amplitudes for i, r in enumerate(report.ratios[a])])
 
 
 def cmd_perturb_sweep(args, config, run):
     table = perturbation_sweep(args.deltas, nx=args.nx, nt=args.nt, seed=run.manifest["seed"])
-    payload = {"deltas": table.deltas, "ratios": table.ratios,
-               "slope": table.slope, "monotone": table.monotone}
-    run.write_text("perturb.json", json.dumps(payload, sort_keys=True, indent=1))
-    rows = [["delta", "ratio"]] + [
-        [f"{d:.9g}", f"{r:.12g}"] for d, r in zip(table.deltas, table.ratios)
-    ]
-    run.write_text("perturb.csv", "\n".join(",".join(r_) for r_ in rows) + "\n")
-    return run.finish()
+    run.write_json("perturb.json", {"deltas": table.deltas, "ratios": table.ratios,
+                                    "slope": table.slope, "monotone": table.monotone})
+    run.write_csv("perturb.csv", [["delta", "ratio"]] + [
+        [f"{d:.9g}", f"{r:.12g}"] for d, r in zip(table.deltas, table.ratios)])
 
 
 def cmd_fanbeam_convert(args, config, run):
-    g_fan, sidecar = read_grid_file(args.data)
-    run.add_input(args.data, sidecar)
-    R = float(config.settings("phase")["R"]) if config.phase["family"] == "fanbeam" else args.R
-    g_par, info = fanbeam_convert(g_fan, R, ns=args.ns, n_beta=args.n_beta,
-                                  weight_jacobian=args.weight_jacobian)
-    run.manifest["metrics"].update(info)
-    run.write_grid("parallel.grid", g_par)
-    run.write_pgm("parallel.pgm", g_par.values)
-    return run.finish()
-
-
-_COMMANDS = {
-    "phantom": cmd_phantom,
-    "forward": cmd_forward,
-    "adjoint-test": cmd_adjoint_test,
-    "check-bolker": cmd_check_bolker,
-    "visibility": cmd_visibility,
-    "symbol": cmd_symbol,
-    "normal": cmd_normal,
-    "reconstruct": cmd_reconstruct,
-    "stability": cmd_stability,
-    "perturb-sweep": cmd_perturb_sweep,
-    "fanbeam-convert": cmd_fanbeam_convert,
-}
-
-
-def run_pipeline(command, config, args):
-    """Dispatch one pipeline command; returns the process exit code."""
-    run = _Run(args, config)
-    return _COMMANDS[command](args, config, run)
+    if config.phase["family"] == "fanbeam":
+        R = float(config.settings("phase")["R"])
+        if args.R not in (None, R):
+            raise ConfigError(f"--R {args.R} contradicts the fan config's R = {R}")
+    else:
+        R = _PHASE.tables["fanbeam"]["R"].default if args.R is None else args.R
+    g_par, info = fanbeam_convert(run.read_grid(args.data), R, ns=args.ns,
+                                  n_beta=args.n_beta, weight_jacobian=args.weight_jacobian)
+    run.manifest["metrics"].update(info, R=R)
+    run.write_grid("parallel", g_par)
 
 
 def build_parser():
@@ -426,89 +357,85 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, cmd, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(cmd=cmd)
         sp.add_argument("--config", default=None, help="geometry config JSON")
         sp.add_argument("--out-dir", default=".", help="output directory")
-        sp.add_argument("--seed", type=_count(0), default=None)
+        sp.add_argument("--seed", type=_flag(_count(0), int), default=None)
+        return sp
 
-    sp = sub.add_parser("phantom", help="render the configured phantom")
-    common(sp)
-    sp.add_argument("--wavefront-samples", type=int, default=64)
+    sp = command("phantom", cmd_phantom, "render the configured phantom")
+    sp.add_argument("--wavefront-samples", type=_flag(_count(8), int), default=64)
 
-    sp = sub.add_parser("forward", help="apply the forward transform")
-    common(sp)
+    sp = command("forward", cmd_forward, "apply the forward transform")
     sp.add_argument("--image", required=True)
 
-    sp = sub.add_parser("adjoint-test", help="duality check on random pairs")
-    common(sp)
-    sp.add_argument("--pairs", type=_count(1), default=3)
-    sp.add_argument("--tol", type=_finite(0.0), default=1e-3)
+    sp = command("adjoint-test", cmd_adjoint_test, "duality check on random pairs")
+    sp.add_argument("--pairs", type=_flag(_count(1), int), default=3)
+    sp.add_argument("--tol", type=_flag(_NONNEGATIVE), default=1e-3)
 
-    sp = sub.add_parser("check-bolker", help="local Bolker determinant map")
-    common(sp)
-    sp.add_argument("--grid", type=_count(1), default=9)
-    sp.add_argument("--times", type=_count(1), default=4)
+    sp = command("check-bolker", cmd_check_bolker, "local Bolker determinant map")
+    sp.add_argument("--grid", type=_flag(_count(1), int), default=9)
+    sp.add_argument("--times", type=_flag(_count(1), int), default=4)
 
-    sp = sub.add_parser("visibility", help="per-direction witness times")
-    common(sp)
-    sp.add_argument("--point", type=_point, default="0.0,0.0")
-    sp.add_argument("--n-dirs", type=_count(8), default=32)
+    sp = command("visibility", cmd_visibility, "per-direction witness times")
+    sp.add_argument("--point", type=_flag(_PAIR, _floats), default="0.0,0.0")
+    sp.add_argument("--n-dirs", type=_flag(_count(8), int), default=32)
     sp.add_argument("--require-full", action="store_true",
                     help="exit 4 unless every direction is visible")
 
-    sp = sub.add_parser("symbol", help="principal symbol samples")
-    common(sp)
-    sp.add_argument("--point", type=_point, default="0.1,0.0")
-    sp.add_argument("--n-dirs", type=_count(1), default=16)
-    sp.add_argument("--xi-norm", type=_finite(0.0, strict=True), default=8.0)
+    sp = command("symbol", cmd_symbol, "principal symbol samples")
+    sp.add_argument("--point", type=_flag(_PAIR, _floats), default="0.1,0.0")
+    sp.add_argument("--n-dirs", type=_flag(_count(1), int), default=16)
+    sp.add_argument("--xi-norm", type=_flag(_POSITIVE), default=8.0)
 
-    sp = sub.add_parser("normal", help="apply the cutoff normal operator")
-    common(sp)
+    sp = command("normal", cmd_normal, "apply the cutoff normal operator")
     sp.add_argument("--image", required=True)
     sp.add_argument("--symmetric", action="store_true")
 
-    sp = sub.add_parser("reconstruct", help="iterative normal-equation solve")
-    common(sp)
+    sp = command("reconstruct", cmd_reconstruct, "iterative normal-equation solve")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--iters", type=_count(1), default=50)
-    sp.add_argument("--tol", type=_finite(0.0), default=1e-6,
+    sp.add_argument("--iters", type=_flag(_count(1), int), default=50)
+    sp.add_argument("--tol", type=_flag(_NONNEGATIVE), default=1e-6,
                     help="CG stops once the residual, in the ramp preconditioner's "
                          "norm and relative to the right-hand side's, is below this "
                          "(default 1e-6; Landweber ignores it)")
-    sp.add_argument("--tikhonov", type=_finite(0.0), default=0.0)
+    sp.add_argument("--tikhonov", type=_flag(_NONNEGATIVE), default=0.0)
     sp.add_argument("--solver", choices=("cg", "landweber"), default="cg")
 
-    sp = sub.add_parser("stability", help="stability-ratio probe")
-    common(sp)
-    sp.add_argument("--family", choices=("breathing", "rotation"), default="breathing")
-    sp.add_argument("--amplitudes", type=_amplitudes, default="0.0,0.02,0.05")
-    sp.add_argument("--samples", type=_count(1), default=12)
-    sp.add_argument("--nx", type=_count(1), default=48)
-    sp.add_argument("--nt", type=_count(1), default=120)
+    sp = command("stability", cmd_stability, "stability-ratio probe")
+    sp.add_argument("--family", choices=_STABILITY_FAMILIES, default="breathing")
+    sp.add_argument("--amplitudes", type=_flag(_AMPLITUDES, _floats), default="0.0,0.02,0.05")
+    sp.add_argument("--samples", type=_flag(_count(1), int), default=12)
+    sp.add_argument("--nx", type=_flag(_count(1), int), default=48)
+    sp.add_argument("--nt", type=_flag(_count(1), int), default=120)
 
-    sp = sub.add_parser("perturb-sweep", help="operator perturbation scaling")
-    common(sp)
-    sp.add_argument("--deltas", type=_numbers, default="0.0,0.001,0.003,0.01,0.03")
-    sp.add_argument("--nx", type=_count(1), default=48)
-    sp.add_argument("--nt", type=_count(1), default=120)
+    sp = command("perturb-sweep", cmd_perturb_sweep, "operator perturbation scaling")
+    sp.add_argument("--deltas", type=_flag(_NUMBERS, _floats),
+                    default="0.0,0.001,0.003,0.01,0.03")
+    sp.add_argument("--nx", type=_flag(_count(1), int), default=48)
+    sp.add_argument("--nt", type=_flag(_count(1), int), default=120)
 
-    sp = sub.add_parser("fanbeam-convert", help="rebin fan data to parallel")
-    common(sp)
+    sp = command("fanbeam-convert", cmd_fanbeam_convert, "rebin fan data to parallel")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--R", type=_finite(0.0, strict=True), default=3.0)
-    sp.add_argument("--ns", type=_count(1), default=128)
-    sp.add_argument("--n-beta", type=_count(1), default=180)
+    sp.add_argument("--R", type=_flag(_POSITIVE), default=None,
+                    help="source radius; a fan config's R is used, and --R must equal it")
+    sp.add_argument("--ns", type=_flag(_count(1), int), default=128)
+    sp.add_argument("--n-beta", type=_flag(_count(1), int), default=180)
     sp.add_argument("--weight-jacobian", action="store_true")
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        return run_pipeline(args.command, config, args)
+        run = _Run(args, config)
+        args.cmd(args, config, run)
+        run.finish()
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -147,6 +147,9 @@ _POSITIVE = ("a positive number", lambda v: _real(v) and v > 0)
 _NONNEGATIVE = ("a number of at least 0", lambda v: _real(v) and v >= 0)
 _BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
 _PAIR = ("two finite numbers", _pair)
+_NUMBERS = ("a non-empty list of finite numbers",
+            lambda v: isinstance(v, list) and len(v) > 0 and all(map(_real, v)))
+_AMPLITUDES = ("a list of finite numbers including 0", lambda v: _NUMBERS[1](v) and 0 in v)
 _POSITIVE_PAIR = ("two positive numbers", lambda v: _pair(v) and min(v) > 0)
 _RANGE = ("two finite, increasing numbers", lambda v: _pair(v) and v[0] < v[1])
 _CUBIC = ("'cubic' (the bilinear spline was removed)", lambda v: v == "cubic")

@@ -468,6 +468,7 @@ def tiny_run(tmp_path_factory):
     ["fanbeam-convert", "--data", "{sino}", "--R", "-3"],
     ["stability", "--amplitudes", "0.02"],   # no static reference
     ["adjoint-test", "--seed", "-5"],        # once NumPy's ValueError
+    ["phantom", "--wavefront-samples", "4"],  # once silently raised to 8
 ], ids=lambda a: " ".join(a))
 def test_cli_bad_argument_exit_2(tiny_run, args):
     """Malformed points, lists and counts, and unreadable config or data
@@ -597,6 +598,54 @@ def test_cli_fanbeam_convert(tmp_path):
                  "--n-beta", "30"]) == 0
     manifest = json.loads((tmp_path / "rb" / "manifest.json").read_text())
     assert manifest["metrics"]["jacobian"] == "R*cos(gamma)"
+    assert manifest["metrics"]["R"] == 3.0
+    # a fan config's R is the radius; --R may repeat it but not contradict
+    # it (once ignored without a word)
+    rebin = ["fanbeam-convert", "--data", str(tmp_path / "fan.grid"), "--ns", "15",
+             "--n-beta", "30"]
+    assert main(rebin + ["--config", str(cfg), "--R", "3", "--out-dir", out]) == 0
+    assert main(rebin + ["--config", str(cfg), "--R", "5",
+                         "--out-dir", str(tmp_path / "rb5")]) == 2
+    # without a fan config, --R is the radius
+    payloads = []
+    for R in ("3", "5"):
+        od = tmp_path / f"static{R}"
+        assert main(rebin + ["--R", R, "--out-dir", str(od)]) == 0
+        assert json.loads((od / "manifest.json").read_text())["metrics"]["R"] == float(R)
+        payloads.append((od / "parallel.grid").read_bytes())
+    assert payloads[0] != payloads[1]
+
+
+def test_cli_manifest_lists_every_output(tiny_run, tmp_path):
+    """Every subcommand's manifest lists exactly the files it wrote, besides
+    itself and the grids' sidecars, each with the CRC64 of its bytes (a
+    grid file is its payload)."""
+    grids = {"image": str(tiny_run / "ph" / "phantom.grid"),
+             "sino": str(tiny_run / "fwd" / "sinogram.grid")}
+    small = ["--nx", "16", "--nt", "8"]
+    commands = [
+        ["phantom", "--wavefront-samples", "8"],
+        ["forward", "--image", grids["image"]],
+        ["adjoint-test", "--pairs", "1", "--tol", "1"],
+        ["check-bolker", "--grid", "3", "--times", "1"],
+        ["visibility", "--n-dirs", "8"],
+        ["symbol", "--n-dirs", "2"],
+        ["normal", "--image", grids["image"]],
+        ["reconstruct", "--data", grids["sino"], "--iters", "2"],
+        ["stability", "--amplitudes", "0,0.05", "--samples", "1"] + small,
+        ["perturb-sweep", "--deltas", "0,0.01"] + small,
+        ["fanbeam-convert", "--data", grids["sino"], "--ns", "5", "--n-beta", "6"],
+    ]
+    for command in commands:
+        out = tmp_path / command[0]
+        assert main(command + ["--config", str(tiny_run / "cfg.json"),
+                               "--out-dir", str(out)]) == 0, command
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = {p.name for p in out.iterdir()
+                   if p.name != "manifest.json" and not p.name.endswith(".grid.json")}
+        assert set(outputs) == written, command
+        for name, checksum in outputs.items():
+            assert checksum == crc64((out / name).read_bytes()), (command, name)
 
 
 def test_cli_reproducibility_byte_identical(small_config, tmp_path):
