@@ -286,7 +286,7 @@ def cmd_reconstruct(args, config, run):
     g = run.read_grid(args.data)
     pf, img, tr = _transform(config)
     atlas = build_default_atlas(pf, img.support_radius, config.settings("atlas")["n_charts"])
-    op = NormalOperator(tr, atlas, symmetric=True)
+    op = NormalOperator(tr, atlas)
     if args.solver == "cg":
         rec, report = cg_normal_solve(op, g, max_iter=args.iters, tol=args.tol,
                                       tikhonov=args.tikhonov)

@@ -24,7 +24,7 @@ over spline coefficients; the adjoint quadrature is assembled into a second
 sparse matrix K on first use.  Applying either operator is then a spline
 prefilter (a small dense matrix per axis) and one sparse product, which is
 what makes iterative solves affordable.  M is assembled in blocks of at most
-``chunk_t`` acquisition times and K in blocks of pixels, each within a fixed
+``chunk_t`` acquisition times and K in blocks of pixels within a fixed
 scratch budget per thread.
 
 Assembly and products run on one thread per CPU the process may run on
@@ -32,11 +32,12 @@ Assembly and products run on one thread per CPU the process may run on
 and a pool of the others, created on first use and never at import, take
 blocks in order (``_run_blocks``).  With one CPU no pool is created.
 
-* Assembly: each block of M adds its taps into its thread's dense scratch
-  with one ``coo_todense`` pass in a fixed order, and K's blocks are
-  independent per pixel; the finished blocks are appended in block order,
-  with at most ``_BLOCKS_AHEAD_PER_WORKER`` per thread waiting.  M and K
-  are therefore bit-identical for any number of CPUs.
+* Assembly: each block of M is the sparse product of its x-tap and y-tap
+  factors, whose rows each sum their terms in an order set by that row's
+  points alone, and K's blocks are independent per pixel; the finished
+  blocks are appended in block order, with at most
+  ``_BLOCKS_AHEAD_PER_WORKER`` per thread waiting.  M and K are therefore
+  bit-identical for any number of CPUs.
 * Products: each matrix is applied in bands of consecutive rows of about
   equal nnz; a matrix of fewer than two bands of ``_BAND_MIN_NNZ``
   nonzeros is one band on the calling thread.  Every band is one call of
@@ -436,12 +437,9 @@ def _prefilter_matrix(n):
     return ndimage.spline_filter1d(np.eye(n), order=3, axis=0, mode="constant")
 
 
-# Scratch memory of one assembly block, per thread.  A block of M holds at
-# most ``chunk_t`` acquisition times and fewer where those would need more
-# than this; the pixel blocks of K are sized by it alone.  On two threads at
-# 64^2 (ns = 68, nt = 180), blocks of 2 to 16 MB assembled M in the same
-# time within noise (0.35-0.42 s), and 4 MB kept the peak RSS of three
-# set-ups in one process at 201-203 MB, against 221-223 MB with 16 MB.
+# Scratch memory of one pixel block of K's assembly, per thread.  Measured
+# when it also cut M's blocks, 4 MB kept the peak RSS of three 64^2 set-ups
+# (ns = 68, nt = 180) in one process at 201-203 MB, against 221-223 with 16.
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -497,18 +495,6 @@ class _RowBlocks:
         indptr = np.zeros(len(counts) + 1, dtype=np.int32 if len(data) < 2**31 else np.int64)
         np.cumsum(counts, out=indptr[1:])
         return sparse.csr_matrix((data, indices, indptr), shape=(len(counts), self.ncols))
-
-
-def _take_dense_rows(dense, nrows, ncols):
-    """The first ``nrows`` rows of the flat accumulator ``dense`` as
-    (row counts, column indices, values) without their exact zeros, for
-    ``_RowBlocks.append``; those rows are reset to zero."""
-    nz = np.flatnonzero(dense[:nrows * ncols] != 0.0)
-    row_start = ncols * np.arange(nrows)
-    counts = np.diff(np.searchsorted(nz, row_start), append=len(nz))
-    entries = (counts, (nz - np.repeat(row_start, counts)).astype(np.int32), dense[nz])
-    dense[nz] = 0.0
-    return entries
 
 
 # Fewest nonzeros worth a band of their own.  A 32^2 matrix (about 0.2 M
@@ -776,11 +762,12 @@ class LevelSetTransform:
 
     ``K`` is a separate quadrature, not ``M^T``; the two agree to the
     duality tolerance.  M is assembled in row blocks of at most ``chunk_t``
-    times and K in blocks of pixels, each cut to fit ``_BLOCK_BYTES``
-    (4 MB) of scratch per thread.  The blocks are built on one thread per
-    CPU (``_run_blocks``) and appended in order, and each cell sums its
-    terms in a fixed order, so the matrices, and with them every output,
-    have the same bits for any block size and any number of CPUs.  Each
+    times, each the sparse product of its x-tap and y-tap factors, and K in
+    blocks of pixels cut to fit ``_BLOCK_BYTES`` (4 MB) of scratch per
+    thread.  The blocks are built on one thread per CPU (``_run_blocks``)
+    and appended in order, and each cell sums its terms in a fixed order,
+    so the matrices and every output have the same bits for any block size
+    and any number of CPUs.  Each
     matrix is applied in row bands (``_RowBands``) on the same threads,
     with the bits of ``matrix @ v``, to one image or sinogram or to a stack
     of them in one pass.
@@ -930,22 +917,23 @@ class LevelSetTransform:
                           workers=self.workers)
 
     def _assemble_forward(self, points, coeff, ids):
-        """M, assembled in blocks of consecutive rows.
+        """M, assembled in blocks of at most ``chunk_t`` times.
 
-        A block accumulates its taps into a dense (rows, pixels) scratch
-        array of its thread, so it holds at most ``chunk_t`` times and at
-        most the rows whose scratch fits in ``_BLOCK_BYTES``.  Points are
-        grouped by block with a stable sort, and a block's taps are added
-        by one ``coo_todense`` pass in (x tap, y tap, point) order, so each
-        (row, pixel) sums its taps in the same order whatever the block size
-        or the thread.  The blocks run on the threads of ``_run_blocks`` and
-        are appended to M in row order.
+        Points are grouped by block with a stable sort.  A block is the
+        sparse product D Ty (Gustavson's row-by-row algorithm, ACM TOMS 4,
+        1978, as SciPy's ``csr_matmat``): D has a row per (curve, x pixel)
+        and a column per point, holding its x taps times its weight, and Ty
+        a row per point, holding its y taps.  Product entry ((curve, ix), iy)
+        is M's (curve, ix * ny + iy), exact zeros dropped; it sums its terms
+        in (x tap, point, y tap) order, its row's points in plan order,
+        whatever the block size or the thread.  The blocks run on the
+        threads of ``_run_blocks`` and are appended to M in row order.
         """
-        n_curves = len(self.s_grid) * len(self.t_grid)
-        npx = self.nx * self.ny
-        # 8 bytes of accumulator and 1 of nonzero mask per (row, pixel)
-        rows_per_block = max(1, min(self.chunk_t * len(self.s_grid),
-                                    _BLOCK_BYTES // (9 * npx)))
+        ns = len(self.s_grid)
+        n_curves = ns * len(self.t_grid)
+        nx, ny = self.nx, self.ny
+        npx = nx * ny
+        rows_per_block = self.chunk_t * ns
         n_blocks = -(-n_curves // rows_per_block)
         # block ids in the smallest unsigned type: little memory, and NumPy
         # radix-sorts them up to 16 bits
@@ -953,31 +941,39 @@ class LevelSetTransform:
                               kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(ids // rows_per_block,
                                                             minlength=n_blocks))])
-        scratch = threading.local()
 
         def block(b):
-            dense = getattr(scratch, "dense", None)
-            if dense is None:
-                dense = scratch.dense = np.zeros(rows_per_block * npx)
             sel = by_block[bounds[b]:bounds[b + 1]]
             r0 = b * rows_per_block
+            nrows = min(rows_per_block, n_curves - r0)
             cx = (points[sel, 0] - self.origin[0]) / self.spacing
             cy = (points[sel, 1] - self.origin[1]) / self.spacing
             # map_coordinates(mode="constant") reads zero outside [0, n - 1]
-            inside = (cx >= 0.0) & (cx <= self.nx - 1) & (cy >= 0.0) & (cy <= self.ny - 1)
-            ix, wx = _spline_taps(cx[inside], self.nx)
-            iy, wy = _spline_taps(cy[inside], self.ny)
+            inside = (cx >= 0.0) & (cx <= nx - 1) & (cy >= 0.0) & (cy <= ny - 1)
+            ix, wx = _spline_taps(cx[inside], nx)
+            iy, wy = _spline_taps(cy[inside], ny)
             sel = sel[inside]
-            cwx = coeff[sel] * wx
-            # every tap pair's entries, tap pair by tap pair
-            rows = np.tile(ids[sel] - r0, 16)
-            cols = ((ix * self.ny)[:, None, :] + iy[None, :, :]).ravel()
-            vals = (cwx[:, None, :] * wy[None, :, :]).ravel()
-            nrows = min(rows_per_block, n_curves - r0)
-            _sparsetools.coo_todense(nrows, npx, len(vals), rows, cols, vals, dense, 0)
-            return _take_dense_rows(dense, nrows, npx)
+            m = len(sel)
+            n_d = nrows * nx
+            # a point has 16 tap pairs, so a product of at most 16 m entries
+            itype = np.int32 if max(16 * m, n_d) < 2**31 else np.int64
+            d = np.empty(n_d + 1, itype), np.empty(4 * m, itype), np.empty(4 * m)
+            _sparsetools.coo_tocsr(n_d, m, 4 * m, ((ids[sel] - r0) * nx + ix).astype(itype),
+                                   np.tile(np.arange(m, dtype=itype), 4), coeff[sel] * wx, *d)
+            c_ptr, c_col, c_val = (np.empty(n_d + 1, itype), np.empty(16 * m, itype),
+                                   np.empty(16 * m))
+            _sparsetools.csr_matmat(n_d, ny, *d, np.arange(0, 4 * m + 1, 4, dtype=itype),
+                                    iy.T.astype(itype, order="C"), np.ascontiguousarray(wy.T),
+                                    c_ptr, c_col, c_val)
+            nnz = int(c_ptr[-1])
+            x_offset = np.tile(np.arange(0, npx, ny, dtype=np.int32), nrows)
+            cols = np.repeat(x_offset, np.diff(c_ptr)) + c_col[:nnz]
+            # exact-size arrays: a block waiting to be appended holds its entries only
+            return np.diff(c_ptr[::nx]), cols, c_val[:nnz].copy()
 
-        matrix = _RowBlocks(npx, 3 * len(ids), rows=n_curves)
+        # a point's 4 x 4 taps bound M's entries; the reserve costs address
+        # space only, as pages are touched when written
+        matrix = _RowBlocks(npx, 16 * len(ids), rows=n_curves)
         _run_blocks(n_blocks, block, min(_worker_count(), n_blocks),
                     consume=lambda entries: matrix.append(*entries))
         return matrix.tocsr()
@@ -1234,12 +1230,14 @@ class NormalOperator:
     sum_i sqrt(chi_iX) A* (chi_iY A (sqrt(chi_iX) .)).
 
     An apply makes one forward and one adjoint whatever the chart count, so
-    it reads each assembled matrix once: the symmetric variant (required by
-    conjugate-gradient solvers) forwards the stack of the charts'
-    sqrt(chi_iX)-weighted images, the plain variant forwards f alone, and
-    both take one adjoint of the stack of chi_iY-weighted sinograms.  The
-    charts' images are weighted and summed in chart order, so the result has
-    the bits of the chart-by-chart sum.  Principal symbols agree.
+    it reads each assembled matrix once: the plain variant forwards f alone,
+    the symmetric variant the stack of the charts' sqrt(chi_iX)-weighted
+    images, and both take one adjoint of the stack of chi_iY-weighted
+    sinograms.  The charts' images are weighted and summed in chart order,
+    so the result has the bits of the chart-by-chart sum.  Principal symbols
+    agree.  Reconstructions use the plain variant: the true image solves its
+    equations for any atlas, the symmetrized ones only where each chi_iX is
+    0 or 1, and the solvers need no symmetry.
     """
 
     def __init__(self, transform, atlas=None, symmetric=False):

@@ -1,18 +1,19 @@
 """Iterative inversion through the normal equations and empirical probes of
 the stability and perturbation estimates.
 
-The solver works on the symmetrized normal operator N, preconditioned by the
-order +1 ramp multiplier P^-1 = sqrt(1 + |k|^2) (k in cycles per grid).  N
-is elliptic of order -1 under visibility, local Bolker and no conjugate
-points, so P^-1 N is of order 0 and its conditioning should not grow with
-the grid (Clinthorne et al., IEEE TMI 12, 1993; Fessler & Booth, IEEE TIP 8,
-1999).  Because the discrete forward and adjoint are independent quadratures
-(not exact transposes, they agree to the duality tolerance), every Krylov
-step takes the length that minimizes the residual in the P^-1 norm
-(preconditioned conjugate-residual form): the recorded residual history is
-then non-increasing for any search direction, which classic
-conjugate-gradient steps only guarantee under exact symmetry.  Landweber
-iteration is provided as a fallback that tolerates indefiniteness outright.
+The solver works on the cutoff normal operator N, whose equations the true
+image solves for any atlas, preconditioned by the order +1 ramp multiplier
+P^-1 = sqrt(1 + |k|^2) (k in cycles per grid).  N is elliptic of order -1
+under visibility, local Bolker and no conjugate points, so P^-1 N is of
+order 0 and its conditioning should not grow with the grid (Clinthorne et
+al., IEEE TMI 12, 1993; Fessler & Booth, IEEE TIP 8, 1999).  N is not
+symmetric: chi_iX weights its image side only, and the discrete forward and
+adjoint are independent quadratures (they agree to the duality tolerance).
+So every Krylov step takes the length that minimizes the residual in the
+P^-1 norm (conjugate-residual form): the recorded residual history is then
+non-increasing for any search direction, which classic conjugate-gradient
+steps only guarantee under exact symmetry.  Landweber iteration is provided
+as a fallback that tolerates indefiniteness outright.
 """
 
 from __future__ import annotations
@@ -104,13 +105,13 @@ def _ramp_preconditioner(mask):
 
 
 def cg_normal_solve(normal_op, g, max_iter=50, tol=1e-6, tikhonov=0.0, truth=None):
-    """Solve N_sym f = B g for the symmetrized, support-restricted normal
-    equations by a preconditioned conjugate-residual iteration.
+    """Solve N f = B g for the plain or symmetrized, support-restricted
+    cutoff normal equations by a preconditioned conjugate-residual iteration.
 
     The preconditioner is the ramp multiplier P^-1 = sqrt(1 + |k|^2) of
     ``_ramp_preconditioner``.  Each step length minimizes ||r - alpha N p||
     in the P^-1 norm <r, P^-1 r>, so the residual in that norm cannot rise
-    for any search direction, even when N is only nearly symmetric.  Each
+    for any search direction, even when N is not symmetric.  Each
     iteration costs one normal apply and one P^-1.
 
     Returns (ImageGrid, SolveReport).  ``residual_history`` is the residual

@@ -563,6 +563,34 @@ def test_cli_reconstruct_and_normal(small_config, tmp_path):
         _assert_set_up_stats_recorded(out, small_config, "mk")
 
 
+@pytest.mark.parametrize("solver, iters", [("cg", 8), ("landweber", 30)])
+def test_cli_reconstruct_atlas_is_unbiased(solver, iters, tmp_path):
+    """`reconstruct` solves the plain cutoff normal equations, which the true
+    image solves for any atlas: through 2 x 2 overlapping charts it comes as
+    close to the phantom as through the trivial atlas.  The symmetrized
+    equations reweight the image where charts overlap: their error here is
+    0.23 against 0.06 with CG, and 0.22 against 0.10 with Landweber."""
+    errors = []
+    for n_charts in (1, 2):
+        cfg = tmp_path / f"cfg{n_charts}.json"
+        cfg.write_text(json.dumps({
+            "phase": {"family": "dynamic", "motion": {"name": "rotation", "rate": 0.3}},
+            "image": {"nx": 32}, "sinogram": {"ns": 35, "nt": 60},
+            "atlas": {"n_charts": n_charts}, "seed": 1,
+        }))
+        out = tmp_path / f"c{n_charts}"
+        assert main(["phantom", "--config", str(cfg), "--out-dir", str(out / "ph")]) == 0
+        assert main(["forward", "--config", str(cfg), "--out-dir", str(out / "fw"),
+                     "--image", str(out / "ph" / "phantom.grid")]) == 0
+        assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out / "rec"),
+                     "--data", str(out / "fw" / "sinogram.grid"), "--iters", str(iters),
+                     "--tol", "0", "--solver", solver]) == 0
+        rec, _ = read_grid_file(out / "rec" / "reconstruction.grid")
+        truth, _ = read_grid_file(out / "ph" / "phantom.grid")
+        errors.append(np.linalg.norm(rec.values - truth.values) / np.linalg.norm(truth.values))
+    assert errors[1] <= 1.25 * errors[0], errors
+
+
 def test_cli_stability_and_perturb(small_config, tmp_path):
     out = str(tmp_path / "st")
     assert main(["stability", "--config", small_config, "--out-dir", out,

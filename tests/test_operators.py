@@ -752,6 +752,59 @@ def test_matrices_match_reference(case):
     assert _rel(tr.adjoint(data).values, _quadrature_adjoint(tr, data)) <= 1e-12
 
 
+def _reference_forward_matrix(tr):
+    """M from the plan by its own route: each point's 16 tap pairs as COO
+    entries (cubic B-spline weights, taps folded back by reflection about
+    the edge samples), summed by ``tocsr`` without exact zeros.  Also
+    returns whether any tap folded."""
+    from scipy import sparse
+
+    plan = tr.plan
+    c = (plan.points - tr.origin) / tr.spacing
+    n = np.array([tr.nx, tr.ny])
+    inside = np.all((c >= 0.0) & (c <= n - 1), axis=1)
+    c, coeff, ids = c[inside], plan.coeff[inside], plan.curve_id[inside]
+    taps, folds = [], False
+    for axis in (0, 1):
+        raw = np.floor(c[:, axis]).astype(np.int64)[:, None] + np.arange(-1, 3)
+        d = np.abs(c[:, axis][:, None] - raw)
+        w = np.where(d < 1.0, 2.0 / 3.0 - d**2 + d**3 / 2.0, (2.0 - d) ** 3 / 6.0)
+        period = 2 * n[axis] - 2
+        idx = np.abs(raw) % period
+        idx = np.where(idx >= n[axis], period - idx, idx)
+        folds = folds or bool(np.any(idx != raw))
+        taps.append((idx, w))
+    (ix, wx), (iy, wy) = taps
+    rows = np.repeat(ids, 16)
+    cols = (ix[:, :, None] * tr.ny + iy[:, None, :]).ravel()
+    vals = (coeff[:, None, None] * wx[:, :, None] * wy[:, None, :]).ravel()
+    ref = sparse.coo_matrix((vals, (rows, cols)), shape=plan.matrix.shape).tocsr()
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    return ref, folds
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
+def test_forward_matrix_known_answer(case):
+    """M holds, row by row, the columns and sums of a plain COO assembly of
+    every point's tap pairs, with no stored zero and no repeated column,
+    and the case has taps folded at the grid edge."""
+    pf, mu, kw = _geometry(case)
+    tr = LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw)
+    ref, folds = _reference_forward_matrix(tr)
+    assert folds
+    m = tr.plan.matrix
+    assert not np.any(m.data == 0.0)
+    got = m.copy()
+    got.sort_indices()
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    starts = np.zeros(len(got.indices), dtype=bool)
+    starts[got.indptr[:-1][np.diff(got.indptr) > 0]] = True
+    assert np.all(starts[1:] | (np.diff(got.indices) > 0))    # no repeated column
+    assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+
+
 def test_fan_geometry_has_failed_curves():
     """The fan case above exercises the NaN path: its plan marks curves failed."""
     pf, mu, kw = _geometry("fan")
@@ -760,10 +813,10 @@ def test_fan_geometry_has_failed_curves():
 
 
 def test_chunk_size_does_not_change_outputs(static_pf, monkeypatch):
-    """chunk_t and the scratch budget only set the assembly's block size.  A
-    huge chunk_t is cut to the budget; a budget below one row of scratch
-    gives one-row forward blocks, which split the times, and one-pixel
-    adjoint blocks."""
+    """chunk_t and the scratch budget only set the assembly's block size.
+    chunk_t is the times per forward block, from one time to all of them in
+    one block; a budget below one pixel of scratch gives one-pixel adjoint
+    blocks.  M and every output keep their bits."""
     from curvetomo import operators
 
     img = make_image_grid(32)
@@ -775,15 +828,18 @@ def test_chunk_size_does_not_change_outputs(static_pf, monkeypatch):
 
     def outputs(chunk_t):
         tr = LevelSetTransform(static_pf, UnitWeight(), img, spec, chunk_t=chunk_t)
-        return tr.forward(f).values, tr.adjoint(data).values
+        m = tr.plan.matrix
+        return (tr.forward(f).values, tr.adjoint(data).values,
+                m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes())
 
     expected = outputs(1)
-    runs = [outputs(32), outputs(10**9)]
+    runs = [outputs(4), outputs(32), outputs(10**9)]
     monkeypatch.setattr(operators, "_BLOCK_BYTES", 1)
     runs.append(outputs(4))
     for got in runs:
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+        assert got[2:] == expected[2:]
 
 
 def test_breathing_adjoint_inverts_motion_once_per_block(monkeypatch):
@@ -825,11 +881,11 @@ def test_matrix_indices_in_range(case):
 
 
 def test_row_blocks_grow_past_capacity():
-    """Row blocks appended past the reserved capacity, sparse or from the
-    dense accumulator, assemble the stacked matrix; the accumulator is reset."""
+    """Row blocks appended past the reserved capacity assemble the stacked
+    matrix."""
     from scipy import sparse
 
-    from curvetomo.operators import _RowBlocks, _take_dense_rows
+    from curvetomo.operators import _RowBlocks
 
     rng = np.random.default_rng(54)
     blocks = [sparse.random(3, 7, density=0.5, format="csr", random_state=rng)
@@ -837,11 +893,7 @@ def test_row_blocks_grow_past_capacity():
     built = _RowBlocks(7, capacity=1)
     for b in blocks:
         built.append(np.diff(b.indptr), b.indices, b.data)
-    dense = rng.standard_normal((3, 7)) * (rng.random((3, 7)) < 0.5)
-    acc = dense.ravel().copy()
-    built.append(*_take_dense_rows(acc, 3, 7))
-    assert not acc.any()
-    expected = np.vstack([b.toarray() for b in blocks] + [dense])
+    expected = np.vstack([b.toarray() for b in blocks])
     np.testing.assert_array_equal(built.tocsr().toarray(), expected)
 
 
