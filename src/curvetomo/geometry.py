@@ -105,7 +105,15 @@ class MotionModel:
     of the inverse is -D psi_t^{-1}(x) dt_forward(t, psi_t^{-1}(x)) (see
     ``DynamicPhase``), and the volume factor is det D psi_t^{-1}(x) (see
     ``operators.lagrangian_to_levelset_weight``).
+
+    A family whose inverse is affine in x for every t (identity, rotation,
+    affine) sets ``jacobian_per_time``: its Jacobian depends on t alone, and
+    ``inverse_jacobian_at`` returns it once per time-factor row, of shape
+    ``factor.shape[:-1] + (2, 2)``, which callers broadcast against the
+    points.  Otherwise the Jacobian has the inverse map's shape.
     """
+
+    jacobian_per_time = False
 
     def forward(self, t, z):
         raise NotImplementedError
@@ -127,7 +135,10 @@ class MotionModel:
 
 
 class IdentityMotion(MotionModel):
+    """psi_t = id; its Jacobian is the identity, one per time-factor row."""
+
     name = "identity"
+    jacobian_per_time = True
 
     @staticmethod
     def _shape(t, z):
@@ -146,9 +157,10 @@ class IdentityMotion(MotionModel):
 
     def inverse_jacobian_at(self, factor, x):
         x = np.asarray(x, dtype=float)
-        shape = np.broadcast_shapes(x[..., 0].shape, np.shape(factor)[:-1])
+        rows = np.shape(factor)[:-1]
+        shape = np.broadcast_shapes(x[..., 0].shape, rows)
         return (np.broadcast_to(x, shape + (2,)).copy(),
-                np.broadcast_to(np.eye(2), shape + (2, 2)).copy())
+                np.broadcast_to(np.eye(2), rows + (2, 2)))
 
 
 def _rot_apply(theta, v):
@@ -163,9 +175,11 @@ def _rot_apply(theta, v):
 class RotationMotion(MotionModel):
     """Rigid rotation psi_t = R_{rate * t}.  rate = -1 is the
     scanner-synchronized case (phi collapses to x^1).  The time factor is
-    (cos, sin) of the inverse's angle -rate * t."""
+    (cos, sin) of the inverse's angle -rate * t, and the Jacobian, the
+    rotation by that angle, comes back once per time-factor row."""
 
     name = "rotation"
+    jacobian_per_time = True
 
     def __init__(self, rate=0.3):
         self.rate = float(rate)
@@ -187,7 +201,7 @@ class RotationMotion(MotionModel):
         s = factor[..., 1]
         x = np.asarray(x, dtype=float)
         z = np.stack([c * x[..., 0] - s * x[..., 1], s * x[..., 0] + c * x[..., 1]], axis=-1)
-        jac = np.empty(z.shape + (2,))
+        jac = np.empty(c.shape + (2, 2))
         jac[..., 0, 0] = c
         jac[..., 0, 1] = -s
         jac[..., 1, 0] = s
@@ -204,9 +218,11 @@ class AffineMotion(MotionModel):
     A(t) = I + amplitude*sin(t)*M0, b(t) = amplitude*(1 - cos t)*v0, with the
     fixed M0 = [[0.40, -0.15], [0.25, 0.30]] (``_AFFINE_M0``) and
     v0 = (0.12, -0.08) (``_AFFINE_V0``).  The time factor is A(t)^{-1},
-    row-major, followed by b(t)."""
+    row-major, followed by b(t); the Jacobian A(t)^{-1} comes back once per
+    time-factor row."""
 
     name = "affine"
+    jacobian_per_time = True
 
     def __init__(self, amplitude=0.05):
         self.amplitude = float(amplitude)
@@ -255,8 +271,7 @@ class AffineMotion(MotionModel):
         d1 = x[..., 1] - factor[..., 5]
         z = np.stack([factor[..., 0] * d0 + factor[..., 1] * d1,
                       factor[..., 2] * d0 + factor[..., 3] * d1], axis=-1)
-        inv = factor[..., :4].reshape(factor.shape[:-1] + (2, 2))
-        return z, np.broadcast_to(inv, z.shape + (2,))
+        return z, factor[..., :4].reshape(factor.shape[:-1] + (2, 2))
 
 
 class BreathingMotion(MotionModel):
@@ -455,15 +470,17 @@ class PhaseFunction:
 
     A family writes phi and grad_x phi once, in ``_eval_grad_at(t, factor,
     x)``, which returns both from one evaluation (for a dynamic phase, one
-    inversion of the motion); the gradient may come back unbroadcast where
-    it does not depend on x.  ``factor = _time_factor(t)`` holds the factors
-    of phi that depend on t alone, one row per time for t of shape (n,)
-    (omega(t) for the static phase, omega(t) followed by the motion's own
-    time factor for a dynamic one), so batch callers compute it once per
-    time: the tracer selects its rows along with the points, and a scan
-    passes (n,) times against (m, 1, 2) points.  ``_eval_grad_raw(t, x)``,
-    ``_eval_raw`` and each family's ``_grad_x_raw`` derive from it; a caller
-    that needs phi and its gradient at the same points makes one call.
+    inversion of the motion); the gradient may come back unbroadcast, one
+    row per time-factor row, where it depends on t alone (the static phase
+    and a dynamic phase of a motion with ``jacobian_per_time``).  ``factor
+    = _time_factor(t)`` holds the factors of phi that depend on t alone,
+    one row per time for t of shape (n,) (omega(t) for the static phase,
+    omega(t) followed by the motion's own time factor for a dynamic one),
+    so batch callers compute it once per time: the tracer selects its rows
+    along with the points, and a scan passes (n,) times against (m, 1, 2)
+    points.  ``_eval_grad_raw(t, x)``, ``_eval_raw`` and each family's
+    ``_grad_x_raw`` derive from it; a caller that needs phi and its
+    gradient at the same points makes one call.
 
     The base class's own ``_grad_x_raw``, ``_dt_raw`` and ``_dt_grad_x_raw``
     are central differences of phi with step ``fd_step``: the reference the
@@ -578,9 +595,15 @@ class DynamicPhase(PhaseFunction):
 
         dt phi = z . omega_perp(t) - grad_x phi . v.
 
+    For a motion with ``jacobian_per_time`` phi is affine in x, so the time
+    factor also carries grad_x phi(t) and phi(t, 0), and the evaluator
+    returns phi = x . grad_x phi(t) + phi(t, 0) with the gradient
+    unbroadcast, as the static phase does: the gradient keeps the bits of
+    the per-point Jacobian's, phi moves in its last bit.
+
     The mixed derivative is a central difference in t of the spatial
     gradient.  With ``use_analytic=False`` every derivative is a central
-    difference of the phase itself.
+    difference of the phase itself, and phi comes from the inverse map.
     """
 
     name = "dynamic"
@@ -588,6 +611,8 @@ class DynamicPhase(PhaseFunction):
     def __init__(self, motion, use_analytic):
         self.motion = motion
         self._analytic = bool(use_analytic)
+        # phi affine in x: its gradient and offset ride in the time factor
+        self._affine = self._analytic and motion.jacobian_per_time
 
     @property
     def analytic_derivatives(self):
@@ -598,9 +623,18 @@ class DynamicPhase(PhaseFunction):
             raise DomainError("point outside extended domain of dynamic phase")
 
     def _time_factor(self, t):
-        return np.concatenate([omega(t), self.motion.time_factor(t)], axis=-1)
+        w = omega(t)
+        motion_factor = self.motion.time_factor(t)
+        if not self._affine:
+            return np.concatenate([w, motion_factor], axis=-1)
+        z0, jac = self.motion.inverse_jacobian_at(motion_factor, np.zeros(2))
+        return np.concatenate([w, motion_factor, _transpose_apply(jac, w),
+                               _dot(z0, w)[..., None]], axis=-1)
 
     def _eval_grad_at(self, t, factor, x):
+        if self._affine:
+            g = factor[..., -3:-1]
+            return _dot(x, g) + factor[..., -1], g
         w = factor[..., :2]
         motion_factor = factor[..., 2:]
         z, jac = self.motion.inverse_jacobian_at(motion_factor, x)

@@ -406,10 +406,11 @@ class _ForwardPlan:
 
 
 def _spline_taps(c, n):
-    """Tap indices and weights, each of shape (4, m), with which
-    ``map_coordinates(order=3, prefilter=False)`` reads the coordinates
-    ``c`` (all inside [0, n - 1]) of an axis of length n.  Taps beyond the
-    grid are folded back by reflection about the edge samples."""
+    """Tap indices and weights, each of shape (m, 4), a row per coordinate,
+    with which ``map_coordinates(order=3, prefilter=False)`` reads the
+    coordinates ``c`` (all inside [0, n - 1]) of an axis of length n.  Taps
+    beyond the grid are folded back by reflection about the edge samples.
+    Both arrays are C-contiguous; ``.T`` reads them tap by tap."""
     fl = np.floor(c)
     u = c - fl
     start = fl.astype(np.int64) - 1
@@ -417,17 +418,23 @@ def _spline_taps(c, n):
     # cubic B-spline: u^3/6, 2/3 - u^2 + u^3/2 and their mirror images
     u2 = u * u
     v2 = v * v
-    w = np.empty((4, len(c)))
-    np.multiply(v2, v / 6.0, out=w[0])
-    np.multiply(u2, u / 6.0, out=w[3])
-    w[1] = 2.0 / 3.0 - u2 + 3.0 * w[3]
-    w[2] = 2.0 / 3.0 - v2 + 3.0 * w[0]
-    idx = start + np.arange(4)[:, None]
+    # each tap's column from contiguous temporaries: NumPy's loops over an
+    # inner axis of 4 cost several times more
+    w0 = v2 * (v / 6.0)
+    w3 = u2 * (u / 6.0)
+    w = np.empty((len(c), 4))
+    w[:, 0] = w0
+    w[:, 1] = 2.0 / 3.0 - u2 + 3.0 * w3
+    w[:, 2] = 2.0 / 3.0 - v2 + 3.0 * w0
+    w[:, 3] = w3
+    idx = np.empty((len(c), 4), dtype=np.int64)
+    for k in range(4):
+        np.add(start, k, out=idx[:, k])
     edge = np.flatnonzero((start < 0) | (start > n - 4))
     if len(edge):
         period = max(2 * n - 2, 1)
-        folded = np.abs(idx[:, edge]) % period
-        idx[:, edge] = np.where(folded >= n, period - folded, folded)
+        folded = np.abs(idx[edge]) % period
+        idx[edge] = np.where(folded >= n, period - folded, folded)
     return idx, w
 
 
@@ -735,6 +742,10 @@ _PLAN_STEP_PX = 1.0
 _LINE_STEP_PX = 0.5
 # seed points per axis of the plan's curves
 _SEED_GRID = 17
+# (time, seed, s) cells per block of the plan's nearest-seed search.  At 64^2
+# rotation (ns = 68, nt = 180, one Xeon core, NumPy 2.4) 2^16 took 7.8 ms,
+# 2^14 22.6 ms, and 2^18 11.4 ms with 2.5 MB more peak RSS.
+_SEED_BLOCK_CELLS = 2**16
 
 
 class LevelSetTransform:
@@ -821,16 +832,47 @@ class LevelSetTransform:
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
         return pts[np.hypot(pts[:, 0], pts[:, 1]) <= r + 1e-12]
 
+    def _nearest_seeds(self, seeds):
+        """Per (t, s) sample, an (nt, ns) array: the index of the first seed
+        whose phase value is nearest s, or -1 where none is on the branch or
+        within the capture window, 0.9 |grad phi| times a seed cell's
+        diagonal.
+
+        All (seed, time) pairs are evaluated at once, and the argmin runs
+        over blocks of about ``_SEED_BLOCK_CELLS`` (time, seed, s) cells.
+        An off-branch seed reads +inf and captures nothing, so argmin passes
+        over it."""
+        pf = self.pf
+        ns, nt = len(self.s_grid), len(self.t_grid)
+        cell = float(np.max(np.abs(np.diff(np.unique(seeds[:, 0])))))
+        on = pf.branch_mask(self.t_grid, seeds[:, None, :])
+        vals, grads = pf._eval_grad_raw(self.t_grid, seeds[:, None, :])
+        capture = 0.9 * np.hypot(grads[..., 0], grads[..., 1]) * cell * math.sqrt(2.0) + 1e-12
+        vals = np.where(on, vals, np.inf).T                  # (time, seed)
+        capture = np.where(on, capture, -np.inf).T
+        sel = np.full((nt, ns), -1, dtype=np.int64)
+        times_per_block = max(1, _SEED_BLOCK_CELLS // (len(seeds) * ns))
+        cols = np.arange(ns)
+        for j0 in range(0, nt, times_per_block):
+            v = vals[j0:j0 + times_per_block]
+            rows = np.arange(len(v))[:, None]
+            diff = np.abs(v[:, :, None] - self.s_grid)      # (time, seed, s)
+            best = np.argmin(diff, axis=1)
+            ok = diff[rows, best, cols] <= capture[j0 + rows, best]
+            sel[j0:j0 + len(v)] = np.where(ok, best, -1)
+        return sel
+
     def _build_plan(self):
         """Trace one curve per (s, t) sample and assemble M from its points.
 
-        Each sample's curve starts at the seed nearest its level, projected
-        onto the level set; all curves are traced together.  The tracer
-        streams each step's points inside the trim disk (radius R + 4h) into
-        point, curve-id and weight buffers (``_Buffer``) sized for every
-        curve crossing that disk, which grow in place if needed, so the
-        trace leaves no per-step arrays behind.  Points of failed curves are
-        dropped and the weights multiplied by mu.
+        Each sample's curve starts at the seed nearest its level
+        (``_nearest_seeds``), projected onto the level set; all curves are
+        traced together.  The tracer streams each step's points inside the
+        trim disk (radius R + 4h) into point, curve-id and weight buffers
+        (``_Buffer``) sized for every curve crossing that disk, which grow
+        in place if needed, so the trace leaves no per-step arrays behind.
+        Points of failed curves are dropped and the weights multiplied by
+        mu.
         """
         start = time.perf_counter()
         pf = self.pf
@@ -838,24 +880,7 @@ class LevelSetTransform:
         n_curves = ns * nt
         seeds = self._seed_points()
         tol = curve_tolerance(pf)
-        cell = float(np.max(np.abs(np.diff(np.unique(seeds[:, 0])))))
-
-        # per (s, t): nearest seed by phase value, within a capture window
-        sel_seed = np.full((nt, ns), -1, dtype=np.int64)
-        for j, t in enumerate(self.t_grid):
-            mask = pf.branch_mask(t, seeds)
-            if not mask.any():
-                continue
-            idx = np.nonzero(mask)[0]
-            vals, grads = pf._eval_grad_raw(t, seeds[idx])
-            gscale = np.hypot(grads[:, 0], grads[:, 1])
-            capture = 0.9 * gscale * cell * math.sqrt(2.0) + 1e-12
-            diff = np.abs(vals[:, None] - self.s_grid[None, :])
-            best = np.argmin(diff, axis=0)
-            ok = diff[best, np.arange(ns)] <= capture[best]
-            sel_seed[j, ok] = idx[best[ok]]
-
-        flat_sel = sel_seed.reshape(-1)          # index: j * ns + i
+        flat_sel = self._nearest_seeds(seeds).reshape(-1)   # index: j * ns + i
         active = flat_sel >= 0
         act_idx = np.nonzero(active)[0]
         t_act = np.repeat(self.t_grid, ns)[act_idx]
@@ -957,14 +982,17 @@ class LevelSetTransform:
             n_d = nrows * nx
             # a point has 16 tap pairs, so a product of at most 16 m entries
             itype = np.int32 if max(16 * m, n_d) < 2**31 else np.int64
+            # D's entries tap by tap, each tap's in point order
+            d_rows, d_vals = np.empty((4, m), itype), np.empty((4, m))
+            np.add((ids[sel] - r0) * nx, ix.T, out=d_rows, casting="unsafe")
+            np.multiply(coeff[sel], wx.T, out=d_vals)
             d = np.empty(n_d + 1, itype), np.empty(4 * m, itype), np.empty(4 * m)
-            _sparsetools.coo_tocsr(n_d, m, 4 * m, ((ids[sel] - r0) * nx + ix).astype(itype),
-                                   np.tile(np.arange(m, dtype=itype), 4), coeff[sel] * wx, *d)
+            _sparsetools.coo_tocsr(n_d, m, 4 * m, d_rows,
+                                   np.tile(np.arange(m, dtype=itype), 4), d_vals, *d)
             c_ptr, c_col, c_val = (np.empty(n_d + 1, itype), np.empty(16 * m, itype),
                                    np.empty(16 * m))
             _sparsetools.csr_matmat(n_d, ny, *d, np.arange(0, 4 * m + 1, 4, dtype=itype),
-                                    iy.T.astype(itype, order="C"), np.ascontiguousarray(wy.T),
-                                    c_ptr, c_col, c_val)
+                                    iy.astype(itype), wy, c_ptr, c_col, c_val)
             nnz = int(c_ptr[-1])
             x_offset = np.tile(np.arange(0, npx, ny, dtype=np.int32), nrows)
             cols = np.repeat(x_offset, np.diff(c_ptr)) + c_col[:nnz]
@@ -1039,7 +1067,10 @@ class LevelSetTransform:
 
         Per pixel and time the phase value phi(t, x) is read on the s grid;
         values off the grid, and off-branch samples, contribute zero, which
-        realizes the data cutoff.
+        realizes the data cutoff.  The phase's time factor is computed once
+        per build, and |grad phi| at the gradient's own shape: once per time
+        where it depends on t alone (static and rigid phases).  A block's
+        entries come out in (pixel, time, tap) order, the order of K's rows.
         """
         start = time.perf_counter()
         pf = self.pf
@@ -1052,23 +1083,25 @@ class LevelSetTransform:
         # about 80 bytes of scratch per (pixel, time, s-tap)
         px_per_block = max(1, _BLOCK_BYTES // (80 * 4 * nt))
         n_blocks = -(-npx // px_per_block)
+        t = self.t_grid
+        factor = pf._time_factor(t)
 
         def block(b):
             # (pixel, time) arrays
             x = pts[b * px_per_block:(b + 1) * px_per_block, None, :]
-            t = self.t_grid
             mask = pf.branch_mask(t, x)
-            phi, g = pf._eval_grad_raw(t, x)
+            phi, g = pf._eval_grad_at(t, factor, x)
             sc = (np.where(mask, phi, np.nan) - s0) / ds
             wj = (np.asarray(self.mu(t, x), dtype=float)
                   * np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]))
             flat = np.flatnonzero(np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0))
             pix = flat // nt
             idx, w = _spline_taps(sc.ravel()[flat], ns)
-            # a pixel's entries by time, then by tap
-            return (np.bincount(pix, minlength=len(x)) * 4,
-                    ((flat - pix * nt) * ns + idx).T.ravel(),
-                    (dt * wj.ravel()[flat] * w).T.ravel())
+            # a pixel's entries by time, then by tap: the taps' (m, 4) rows
+            cols, vals = np.empty(idx.shape, np.int64), np.empty(w.shape)
+            np.add(((flat - pix * nt) * ns)[:, None], idx, out=cols)
+            np.multiply((dt * wj.ravel()[flat])[:, None], w, out=vals)
+            return np.bincount(pix, minlength=len(x)) * 4, cols.ravel(), vals.ravel()
 
         matrix = _RowBlocks(ns * nt, 4 * npx * nt, rows=npx)
         _run_blocks(n_blocks, block, min(_worker_count(), n_blocks),
@@ -1202,7 +1235,9 @@ def lagrangian_to_levelset_weight(motion, mu_material):
         mu_hat(t, x) = |det D psi_t^{-1}(x)| * mu(t, psi_t^{-1}(x)) / |grad phi|
 
     with grad phi = (D psi_t^{-1}(x))^T omega(t): z, the determinant and the
-    gradient all come from one ``inverse_jacobian`` call.
+    gradient all come from one ``inverse_jacobian`` call.  For a motion with
+    ``jacobian_per_time`` the determinant and the gradient are per time and
+    broadcast against mu, which has the shape of (t, x).
     """
 
     class _PushforwardWeight:

@@ -133,6 +133,81 @@ def test_eval_grad_matches_accessors(name, rng):
         np.testing.assert_array_equal(g[row], g_i)
 
 
+_RIGID_MOTIONS = {
+    "rotation_0.3": lambda: RotationMotion(0.3),
+    "rotation_-1": lambda: RotationMotion(-1.0),
+    "affine": lambda: AffineMotion(0.05),
+    "identity": lambda: IdentityMotion(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RIGID_MOTIONS))
+def test_rigid_motion_gradient_comes_once_per_time(name, rng):
+    """A motion whose Jacobian depends on t alone returns it once per
+    time-factor row, and its dynamic phase carries grad phi in the time
+    factor: the gradient comes back unbroadcast, bit for bit the per-point
+    (D psi^-1)^T omega, and phi = x . grad phi + phi(t, 0) is within 1e-15
+    of psi^-1(x) . omega.  Both for matched (t, x) rows and for (nt,) times
+    against (px, 1, 2) points."""
+    from curvetomo.geometry import _dot, _transpose_apply, omega
+
+    motion = _RIGID_MOTIONS[name]()
+    assert motion.jacobian_per_time
+    pf = make_dynamic_phase(motion)
+    t, x = support_samples(rng, 300, radius=0.9)
+    tt = np.linspace(0.0, TWO_PI, 37)
+    for times, pts in ((t, x), (tt, x[:40, None, :])):
+        shape = np.broadcast_shapes(np.shape(times), pts[..., 0].shape)
+        z, jac = motion.inverse_jacobian(times, pts)
+        assert z.shape == shape + (2,) and jac.shape == np.shape(times) + (2, 2)
+        phi, g = pf._eval_grad_at(times, pf._time_factor(times), pts)
+        assert phi.shape == shape and g.shape == np.shape(times) + (2,)
+        t_full = np.broadcast_to(times, shape)
+        x_full = np.broadcast_to(pts, shape + (2,))
+        per_point = np.array([_transpose_apply(motion.inverse_jacobian(ti, xi)[1], omega(ti))
+                              for ti, xi in zip(t_full.ravel(), x_full.reshape(-1, 2))])
+        np.testing.assert_array_equal(np.broadcast_to(g, shape + (2,)).reshape(-1, 2),
+                                      per_point)
+        assert np.max(np.abs(phi - _dot(z, omega(times)))) <= 1e-15
+        np.testing.assert_array_equal(pf._eval_raw(times, pts), phi)
+
+
+@pytest.mark.parametrize("name", sorted(_RIGID_MOTIONS))
+def test_rigid_motion_fd_phase_reads_the_inverse_map(name, rng):
+    """With ``use_analytic=False`` phi is psi^-1(x) . omega from the inverse
+    map and grad phi its central difference, bit for bit, as before the
+    gradient rode in the time factor."""
+    from curvetomo.geometry import _central_grad, _dot, omega
+
+    motion = _RIGID_MOTIONS[name]()
+    pf = make_dynamic_phase(motion, use_analytic=False)
+    t, x = support_samples(rng, 200, radius=0.9)
+    phi, g = pf._eval_grad_raw(t, x)
+    w = omega(t)
+    np.testing.assert_array_equal(phi, _dot(motion.inverse(t, x), w))
+    np.testing.assert_array_equal(
+        g, _central_grad(lambda y: _dot(motion.inverse(t, y), w), pf.fd_step, x))
+
+
+@pytest.mark.parametrize("name", sorted(_MOTION_REGISTRY))
+def test_pushforward_weight_has_the_shape_of_t_and_x(name, rng):
+    """The level-set weight of a material weight returns the broadcast
+    shape of (t, x), also for (nt,) times against (px, 1, 2) points where a
+    rigid motion's Jacobian comes once per time, with the bits of an
+    evaluation on the fully broadcast (t, x)."""
+    from curvetomo import BumpWeight, lagrangian_to_levelset_weight
+
+    weight = lagrangian_to_levelset_weight(make_motion(name), BumpWeight(amplitude=0.2))
+    t, x = support_samples(rng, 30, radius=0.9)
+    tt = np.linspace(0.0, TWO_PI, 11)
+    for times, pts in ((t, x), (t[0], x), (tt, x[:, None, :])):
+        shape = np.broadcast_shapes(np.shape(times), pts[..., 0].shape)
+        w = weight(times, pts)
+        assert w.shape == shape
+        np.testing.assert_array_equal(
+            w, weight(np.broadcast_to(times, shape), np.broadcast_to(pts, shape + (2,))))
+
+
 def test_grad_never_vanishes(rng):
     for pf in (make_static_phase(), make_dynamic_phase(BreathingMotion(0.1)),
                make_fanbeam_phase(3.0)):

@@ -645,6 +645,55 @@ def test_empty_plan_transform_is_zero(static_pf):
     assert np.all(tr.adjoint(smooth_sino(tr, 3)).values == 0.0)
     assert tr.plan.matrix.nnz == 0
     assert not tr.plan.failed.any()
+    assert np.all(tr._nearest_seeds(tr._seed_points()) == -1)
+
+
+def _nearest_seeds_per_time(tr, seeds):
+    """Reference seed choice, one time at a time over the seeds on the
+    branch: the first seed nearest each s, kept within its capture
+    window."""
+    pf, ns = tr.pf, len(tr.s_grid)
+    cell = float(np.max(np.abs(np.diff(np.unique(seeds[:, 0])))))
+    sel = np.full((len(tr.t_grid), ns), -1, dtype=np.int64)
+    for j, t in enumerate(tr.t_grid):
+        mask = pf.branch_mask(t, seeds)
+        if not mask.any():
+            continue
+        idx = np.nonzero(mask)[0]
+        vals, grads = pf._eval_grad_raw(t, seeds[idx])
+        capture = 0.9 * np.hypot(grads[:, 0], grads[:, 1]) * cell * math.sqrt(2.0) + 1e-12
+        diff = np.abs(vals[:, None] - tr.s_grid[None, :])
+        best = np.argmin(diff, axis=0)
+        ok = diff[best, np.arange(ns)] <= capture[best]
+        sel[j, ok] = idx[best[ok]]
+    return sel
+
+
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "fan_full"])
+def test_nearest_seeds_match_the_per_time_choice(case, monkeypatch):
+    """The plan's seed choice over all (time, seed) pairs at once, in
+    blocks of times, equals the choice made one time at a time.  The full
+    fan range has times with some and with all seeds off the branch, and
+    one-time blocks cover the block edges.  An s range past the support
+    leaves samples with no seed in the other cases."""
+    from curvetomo import operators
+
+    pf, mu, kw = _geometry(case.removesuffix("_full"))
+    if case.startswith("fan"):
+        spec = SinoSpec(ns=35, nt=48, t_range=(0.0, 2 * math.pi) if case == "fan_full" else None)
+    else:
+        spec = SinoSpec(ns=35, nt=48, s_range=(-1.6, 1.6))
+    tr = LevelSetTransform(pf, mu, make_image_grid(32), spec, **kw)
+    seeds = tr._seed_points()
+    expected = _nearest_seeds_per_time(tr, seeds)
+    if case == "fan_full":
+        on = pf.branch_mask(tr.t_grid[:, None], seeds)
+        assert np.any(on.all(axis=1)) and np.any(~on.any(axis=1))
+        assert np.any(on.any(axis=1) & ~on.all(axis=1))
+    assert np.any(expected >= 0) and np.any(expected == -1)
+    np.testing.assert_array_equal(tr._nearest_seeds(seeds), expected)
+    monkeypatch.setattr(operators, "_SEED_BLOCK_CELLS", 1)
+    np.testing.assert_array_equal(tr._nearest_seeds(seeds), expected)
 
 
 def test_chart_taper_profile():
@@ -1257,7 +1306,7 @@ def _matrix_bytes(case):
             for a in (m.data, m.indices, m.indptr)]
 
 
-@pytest.mark.parametrize("case", ["static", "breathing_bump"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump"])
 def test_assembly_bit_identical_for_any_worker_count(case, monkeypatch):
     """M (12 row blocks) and K (4 pixel blocks) built by two or three
     threads, or by the calling thread alone when the pool's threads never
