@@ -212,23 +212,19 @@ def cmd_check_bolker(args, config, run):
     n = args.grid
     xs = np.linspace(-r, r, n)
     t_vals = np.linspace(pf.t_range[0], pf.t_range[1], args.times, endpoint=False)
-    rows = [["t", "x1", "x2", "h", "rank", "det"]]
-    h_map = np.zeros((n, n))
-    for t in t_vals:
-        for i, x1 in enumerate(xs):
-            for j, x2 in enumerate(xs):
-                x = np.array([x1, x2])
-                if not pf.branch_mask(t, x):
-                    continue
-                frame = fd_derivatives(pf, float(t), x)
-                rank, det = data_projection_rank(pf, float(t), x, sigma=1.0)
-                rows.append([f"{t:.9g}", f"{x1:.9g}", f"{x2:.9g}",
-                             f"{frame.h:.12g}", str(rank), f"{det:.12g}"])
-                if t == t_vals[0]:
-                    h_map[i, j] = abs(frame.h)
-    run.write_csv("bolker.csv", rows)
-    run.write_pgm("bolker_h.pgm", h_map)
-    h_vals = np.array([float(r_[3]) for r_ in rows[1:]])
+    # every branch-valid sample, in (t, x1, x2) order
+    T, X1, X2 = np.meshgrid(t_vals, xs, xs, indexing="ij")
+    valid = pf.branch_mask(T, np.stack([X1, X2], axis=-1))
+    t, x = T[valid], np.stack([X1[valid], X2[valid]], axis=-1)
+    h = np.zeros(T.shape)
+    h[valid] = fd_derivatives(pf, t, x).h
+    rank, det = data_projection_rank(pf, t, x, sigma=1.0)
+    rows = [[f"{a:.9g}", f"{b:.9g}", f"{c:.9g}", f"{d:.12g}", str(e), f"{f:.12g}"]
+            for a, b, c, d, e, f in zip(t.tolist(), *x.T.tolist(), h[valid].tolist(),
+                                        rank.tolist(), det.tolist())]
+    run.write_csv("bolker.csv", [["t", "x1", "x2", "h", "rank", "det"]] + rows)
+    run.write_pgm("bolker_h.pgm", np.abs(h[0]))
+    h_vals = np.array([float(r_[3]) for r_ in rows])
     run.manifest["metrics"]["min_abs_h"] = float(np.min(np.abs(h_vals)))
     run.manifest["metrics"]["max_abs_h"] = float(np.max(np.abs(h_vals)))
 

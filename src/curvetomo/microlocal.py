@@ -423,21 +423,24 @@ def canonical_point(pf, t, x, sigma):
 
 def data_projection_differential(pf, t, x, sigma):
     """The 4x4 differential of the data-side projection in (t, x^1, x^2,
-    sigma) coordinates, rows (d phi, d t, d sigma, d(-sigma dt phi))."""
+    sigma) coordinates, rows (d phi, d t, d sigma, d(-sigma dt phi)).
+
+    Times (n,), points (n, 2) and sigma, a scalar or (n,), give an (n, 4, 4)
+    stack from one frame; one t and x of shape (2,) give one matrix."""
+    t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     frame = fd_derivatives(pf, t, x)
     h_fd = pf.fd_step
-    dtt = (float(pf.dt(t + h_fd, x)) - float(pf.dt(t - h_fd, x))) / (2 * h_fd)
-    M = np.zeros((4, 4))
-    M[0, 0] = frame.dt_phi
-    M[0, 1] = frame.g[0]
-    M[0, 2] = frame.g[1]
-    M[1, 0] = 1.0
-    M[2, 3] = 1.0
-    M[3, 0] = -sigma * dtt
-    M[3, 1] = -sigma * frame.m[0]
-    M[3, 2] = -sigma * frame.m[1]
-    M[3, 3] = frame.dt_phi
+    dtt = (pf.dt(t + h_fd, x) - pf.dt(t - h_fd, x)) / (2 * h_fd)
+    M = np.zeros(np.shape(dtt) + (4, 4))
+    M[..., 0, 0] = frame.dt_phi
+    M[..., 0, 1:3] = frame.g
+    M[..., 1, 0] = 1.0
+    M[..., 2, 3] = 1.0
+    M[..., 3, 0] = -sigma * dtt
+    M[..., 3, 1:3] = -sigma[..., None] * frame.m
+    M[..., 3, 3] = frame.dt_phi
     return M
 
 
@@ -446,14 +449,18 @@ def data_projection_rank(pf, t, x, sigma):
     counts the singular values above 1e-10 times the largest.
 
     By cofactor expansion the determinant equals -sigma * h(t, x); full rank
-    is therefore equivalent to the local Bolker condition.
+    is therefore equivalent to the local Bolker condition.  A batch (see
+    ``data_projection_differential``) returns (n,) arrays, one (t, x) an
+    ``(int, float)`` pair.
     """
-    if sigma == 0.0:
+    if np.any(np.asarray(sigma) == 0.0):
         raise ValueError("sigma must be nonzero")
     M = data_projection_differential(pf, t, x, sigma)
     sv = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    det = float(np.linalg.det(M))
+    rank = np.sum(sv > 1e-10 * sv[..., :1], axis=-1)
+    det = np.linalg.det(M)
+    if M.ndim == 2:
+        return int(rank), float(det)
     return rank, det
 
 
@@ -489,25 +496,20 @@ def principal_symbol(pf, mu, atlas, x, xi):
     if not roots:
         return SymbolValue(x=x, xi=xi, t_used=None, W_plus=0.0, W_minus=0.0,
                            h_tilde=0.0, p=0.0, visible=False)
-    t_used = next((t for t, o in roots if o > 0), roots[0][0])
+    t_root = np.array([t for t, _ in roots])
+    plus = np.array([o > 0 for _, o in roots])
+    k_used = int(np.argmax(plus)) if plus.any() else 0
+    xs = np.broadcast_to(x, (len(roots), 2))
+    frame = fd_derivatives(pf, t_root, xs)
+    w = atlas.chi_pair(xs, frame.s, t_root) * (mu(t_root, xs) ** 2 * frame.J ** 2)
+    W_plus = float(np.sum(w[plus]))
+    W_minus = float(np.sum(w[~plus]))
 
-    W_plus = 0.0
-    W_minus = 0.0
-    for t_root, orient in roots:
-        frame = fd_derivatives(pf, t_root, x)
-        w = float(atlas.chi_pair(x, float(frame.s), t_root))
-        w *= float(mu(t_root, x)) ** 2 * float(frame.J) ** 2
-        if orient > 0:
-            W_plus += w
-        else:
-            W_minus += w
-
-    frame = fd_derivatives(pf, t_used, x)
-    h_tilde = xi_norm / float(frame.J) * float(frame.h)
+    h_tilde = xi_norm / float(frame.J[k_used]) * float(frame.h[k_used])
     if abs(h_tilde) < 1e-12 * xi_norm:
         raise DegenerateSymbolError(
             f"local Bolker failure at x={x.tolist()}, xi={xi.tolist()}: h~ = {h_tilde:.3e}"
         )
     p = (W_plus + W_minus) / (TWO_PI * h_tilde)
-    return SymbolValue(x=x, xi=xi, t_used=float(t_used), W_plus=W_plus, W_minus=W_minus,
-                       h_tilde=h_tilde, p=p, visible=True)
+    return SymbolValue(x=x, xi=xi, t_used=float(t_root[k_used]), W_plus=W_plus,
+                       W_minus=W_minus, h_tilde=h_tilde, p=p, visible=True)
