@@ -216,6 +216,9 @@ def cmd_check_bolker(args, config, run):
     T, X1, X2 = np.meshgrid(t_vals, xs, xs, indexing="ij")
     valid = pf.branch_mask(T, np.stack([X1, X2], axis=-1))
     t, x = T[valid], np.stack([X1[valid], X2[valid]], axis=-1)
+    if not len(t):
+        raise OutOfRangeError(f"no point of the {n} x {n} grid is on the phase's branch "
+                              f"at any of the {args.times} times in {pf.t_range}")
     h = np.zeros(T.shape)
     h[valid] = fd_derivatives(pf, t, x).h
     rank, det = data_projection_rank(pf, t, x, sigma=1.0)

@@ -5,7 +5,8 @@ microlocally restricted normal operator.
 The central objects: the local Bolker determinant
 ``h(t, x) = det[grad_x phi, dt grad_x phi]`` (columns), the time solver
 ``t(x, xi)`` that matches curve normals against covector directions, and the
-order-(-1) symbol ``p = (2 pi)^-1 chi (W_+ + W_-) / h~``.
+order-(-1) symbol ``p = (2 pi)^-1 sum_t chi |mu|^2 J^2 / |h~(t)|`` over
+the witness times t.
 """
 
 from __future__ import annotations
@@ -473,20 +474,22 @@ def principal_symbol(pf, mu, atlas, x, xi):
     """Principal symbol of chi_X A* chi_Y A at the covector (x, xi).
 
     Witness times come from the direction solver over the phase's whole
-    ``t_range``; roots with nu . xi > 0
-    accumulate W_plus, antipodal roots W_minus, each weighted by the chart
-    cutoffs (summed over the atlas, so for the trivial atlas this is exactly
-    the single-chart formula):
+    ``t_range``, and all of them are evaluated on one frame.  Each witness
+    time t contributes its own term, weighted by the chart cutoffs (summed
+    over the atlas, so for the trivial atlas this is exactly the
+    single-chart formula):
 
-        W = sum_i chi_iX(x) chi_iY(phi(t,x), t) |mu(t,x)|^2 J(t,x)^2
+        p = (2 pi)^{-1} sum_t chi(t) |mu(t,x)|^2 J(t,x)^2 / |h~(t)|
+          = (2 pi)^{-1} sum_t chi(t) |mu|^2 J^3 / (|xi| |h(t, x)|),
 
-    with J = |grad phi|.  The denominator uses the first positive-orientation
-    root:  h~ = (|xi| / |grad phi|) h(t, x), and
-
-        p = (2 pi)^{-1} (W_+ + W_-) / h~ .
+    with J = |grad phi|, h~ = (|xi| / J) h and chi = sum_i chi_iX(x)
+    chi_iY(phi(t,x), t).  The reported W_plus and W_minus sum chi |mu|^2 J^2
+    over the roots with nu . xi > 0 and the antipodal ones; t_used is the
+    first positive-orientation root (else the first root) and h_tilde is h~
+    there.
 
     Invisible covectors (no roots) return p = 0 with ``visible=False``.
-    Raises DegenerateSymbolError when |h~| < 1e-12 |xi| at the witness time
+    Raises DegenerateSymbolError when |h~| < 1e-12 |xi| at any witness time
     (local Bolker failure at this covector).
     """
     x = np.asarray(x, dtype=float)
@@ -502,14 +505,14 @@ def principal_symbol(pf, mu, atlas, x, xi):
     xs = np.broadcast_to(x, (len(roots), 2))
     frame = fd_derivatives(pf, t_root, xs)
     w = atlas.chi_pair(xs, frame.s, t_root) * (mu(t_root, xs) ** 2 * frame.J ** 2)
-    W_plus = float(np.sum(w[plus]))
-    W_minus = float(np.sum(w[~plus]))
-
-    h_tilde = xi_norm / float(frame.J[k_used]) * float(frame.h[k_used])
-    if abs(h_tilde) < 1e-12 * xi_norm:
+    h_tilde = xi_norm / frame.J * frame.h
+    worst = int(np.argmin(np.abs(h_tilde)))
+    if abs(h_tilde[worst]) < 1e-12 * xi_norm:
         raise DegenerateSymbolError(
-            f"local Bolker failure at x={x.tolist()}, xi={xi.tolist()}: h~ = {h_tilde:.3e}"
+            f"local Bolker failure at x={x.tolist()}, xi={xi.tolist()}, "
+            f"t={t_root[worst]:.9g}: h~ = {h_tilde[worst]:.3e}"
         )
-    p = (W_plus + W_minus) / (TWO_PI * h_tilde)
-    return SymbolValue(x=x, xi=xi, t_used=float(t_root[k_used]), W_plus=W_plus,
-                       W_minus=W_minus, h_tilde=h_tilde, p=p, visible=True)
+    p = float(np.sum(w / np.abs(h_tilde))) / TWO_PI
+    return SymbolValue(x=x, xi=xi, t_used=float(t_root[k_used]), W_plus=float(np.sum(w[plus])),
+                       W_minus=float(np.sum(w[~plus])), h_tilde=float(h_tilde[k_used]), p=p,
+                       visible=True)

@@ -20,6 +20,7 @@ from curvetomo import (
     write_pgm16,
 )
 from curvetomo.cli import main
+from curvetomo.geometry import fd_derivatives
 from curvetomo.operators import integrate_lines
 from curvetomo.phantom import EllipseSpec, render_phantom
 
@@ -534,6 +535,72 @@ def test_cli_check_bolker_and_symbol(small_config, tmp_path):
     assert main(["symbol", "--config", small_config, "--out-dir", out2,
                  "--point", "0.2,0.0", "--n-dirs", "4"]) == 0
     assert (tmp_path / "sym" / "symbol.csv").exists()
+
+
+def test_cli_check_bolker_off_branch_exit_4(tmp_path, capsys):
+    """A fan t_range that puts no grid point on the phase's branch leaves
+    nothing to check: exit 4 with a message, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"phase": {"family": "fanbeam", "R": 3.0},
+                               "t_range": [0.0, 1.0]}))
+    assert main(["check-bolker", "--config", str(cfg), "--out-dir", str(tmp_path / "cb")]) == 4
+    assert "branch" in capsys.readouterr().err
+
+
+def _check_bolker_per_sample(config_path, pgm_path, grid, times):
+    """check-bolker as a loop over the samples: a frame and two dt calls per
+    branch-valid sample, and dPi_Y (sigma = 1) assembled one 4x4 matrix at a
+    time.  Returns the CSV text, the PGM bytes and the manifest's metrics."""
+    with open(config_path) as fh:
+        pf, _, _, image_kw = build_geometry(GeometryConfig.from_json(fh.read()))
+    r = image_kw["support_radius"]
+    xs = np.linspace(-r, r, grid)
+    t_vals = np.linspace(pf.t_range[0], pf.t_range[1], times, endpoint=False)
+    rows = [["t", "x1", "x2", "h", "rank", "det"]]
+    h_map = np.zeros((grid, grid))
+    for t in t_vals:
+        for i, x1 in enumerate(xs):
+            for j, x2 in enumerate(xs):
+                x = np.array([x1, x2])
+                if not pf.branch_mask(t, x):
+                    continue
+                f = fd_derivatives(pf, float(t), x)
+                h_fd = pf.fd_step
+                dtt = (float(pf.dt(t + h_fd, x)) - float(pf.dt(t - h_fd, x))) / (2 * h_fd)
+                M = np.zeros((4, 4))
+                M[0] = [f.dt_phi, f.g[0], f.g[1], 0.0]
+                M[1, 0] = M[2, 3] = 1.0
+                M[3] = [-dtt, -f.m[0], -f.m[1], f.dt_phi]
+                sv = np.linalg.svd(M, compute_uv=False)
+                rows.append([f"{t:.9g}", f"{x1:.9g}", f"{x2:.9g}", f"{f.h:.12g}",
+                             str(int(np.sum(sv > 1e-10 * sv[0]))),
+                             f"{float(np.linalg.det(M)):.12g}"])
+                if t == t_vals[0]:
+                    h_map[i, j] = abs(f.h)
+    write_pgm16(pgm_path, h_map)
+    abs_h = np.abs([float(r_[3]) for r_ in rows[1:]])
+    return ("\n".join(",".join(r_) for r_ in rows) + "\n", pgm_path.read_bytes(),
+            {"min_abs_h": float(np.min(abs_h)), "max_abs_h": float(np.max(abs_h))})
+
+
+@pytest.mark.parametrize("cfg", [
+    {"phase": {"family": "static"}},
+    {"phase": {"family": "dynamic", "motion": {"name": "breathing", "amplitude": 0.05}},
+     "weight": {"name": "bump", "amplitude": 0.3}},
+    {"phase": {"family": "fanbeam", "R": 3.0}},
+], ids=["static", "breathing_bump", "fanbeam"])
+def test_cli_check_bolker_equals_per_sample_loop(cfg, tmp_path):
+    """check-bolker's one batched frame writes the CSV, the PGM and the
+    metrics of the per-sample loop, byte for byte."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "cb"
+    assert main(["check-bolker", "--config", str(path), "--out-dir", str(out)]) == 0
+    text, pgm, metrics = _check_bolker_per_sample(path, tmp_path / "ref.pgm", 9, 4)
+    assert len(text.splitlines()) > 1
+    assert (out / "bolker.csv").read_text() == text
+    assert (out / "bolker_h.pgm").read_bytes() == pgm
+    assert json.loads((out / "manifest.json").read_text())["metrics"] == metrics
 
 
 def test_cli_reconstruct_and_normal(small_config, tmp_path):

@@ -24,7 +24,8 @@ from curvetomo import (
     solve_time_for_direction,
     visibility_map,
 )
-from curvetomo.geometry import TWO_PI
+from curvetomo.geometry import TWO_PI, PhaseFunction, omega, omega_perp
+from curvetomo.microlocal import data_projection_differential
 
 from conftest import atlas_probe_pairs, reference_solve_time, support_samples
 
@@ -222,6 +223,20 @@ def test_visibility_sync_rotation(sync_pf):
     assert np.allclose(np.abs(vis[:, 0]), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.3, -0.5, -0.6, -0.75, -0.9, -0.95, -1.0, -1.05, -1.2, -1.6])
+def test_visibility_cone_law_rotation(rho):
+    """Under a rotation at rate rho the scan sweeps the object-frame normals
+    omega((1 + rho) t), so the visible share of directions is
+    min(1, 2 |1 + rho|); on a grid of 72 directions it may exceed that by
+    one grid direction at each end of the visible cone."""
+    pf = make_dynamic_phase(RotationMotion(rho))
+    pts = np.array([[0.2, 0.1], [-0.3, 0.25], [0.0, -0.4]])
+    share = np.mean(visibility_map(pf, pts, 72).visible, axis=1)
+    law = min(1.0, 2.0 * abs(1.0 + rho))
+    assert np.all(share >= law - 1e-12), share
+    assert np.all(share <= law + 2 / 72 + 1e-12), share
+
+
 # ---------------------------------------------------------------------------
 # semi-global Bolker
 # ---------------------------------------------------------------------------
@@ -305,6 +320,43 @@ def test_dpiy_det_is_sigma_h(rng):
             assert det == pytest.approx(-sig[i] * h, rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("make_pf", [
+    make_static_phase,
+    lambda: make_dynamic_phase(BreathingMotion(0.08)),
+    lambda: make_dynamic_phase(RotationMotion(-1.0), use_analytic=False),
+    lambda: make_fanbeam_phase(3.0),
+], ids=["static", "breathing", "sync_fd", "fanbeam"])
+def test_dpiy_batch_equals_per_sample(make_pf, rng):
+    """One batched call gives each sample's rank and, to within one ulp, its
+    determinant, with sigma shared by the batch or given per sample."""
+    pf = make_pf()
+    # inside the disk of radius 0.9: on the fan's branch at every time of its window
+    t, x = support_samples(rng, 40, radius=0.9, t_range=pf.t_range)
+    sig = rng.uniform(0.3, 2.0, 40) * rng.choice([-1.0, 1.0], 40)
+    for sigma in (-1.7, sig):
+        rank, det = data_projection_rank(pf, t, x, sigma)
+        assert rank.shape == det.shape == (40,)
+        sigma_i = np.broadcast_to(sigma, 40)
+        for i in range(40):
+            r_i, d_i = data_projection_rank(pf, float(t[i]), x[i], float(sigma_i[i]))
+            assert isinstance(r_i, int) and isinstance(d_i, float)
+            assert rank[i] == r_i
+            assert abs(det[i] - d_i) <= np.spacing(abs(d_i)), (i, det[i], d_i)
+    M = data_projection_differential(pf, t, x, sig)
+    assert M.shape == (40, 4, 4)
+    assert data_projection_differential(pf, float(t[0]), x[0], float(sig[0])).shape == (4, 4)
+
+
+def test_dpiy_zero_sigma_anywhere_raises(static_pf, rng):
+    t, x = support_samples(rng, 5)
+    with pytest.raises(ValueError):
+        data_projection_rank(static_pf, t, x, np.array([1.0, -2.0, 0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError):
+        data_projection_rank(static_pf, t, x, 0.0)
+    with pytest.raises(ValueError):
+        data_projection_rank(static_pf, float(t[0]), x[0], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # principal symbol
 # ---------------------------------------------------------------------------
@@ -373,3 +425,76 @@ def test_symbol_zero_outside_chart_support(static_pf):
                           np.array([0.3, 0.0]), np.array([1.0, 0.0]))
     assert sv.visible
     assert sv.p == 0.0
+
+
+class _WarpedParallelPhase(PhaseFunction):
+    """phi(t, x) = a(t) x . omega(theta(t)), with analytic derivatives:
+    grad phi = a omega(theta), so J = a, and
+    dt grad phi = a' omega(theta) + a theta' omega_perp(theta), so h = a^2 theta'."""
+
+    analytic_derivatives = True
+
+    def __init__(self, a, da, theta, dtheta):
+        self.a, self.da, self.theta, self.dtheta = a, da, theta, dtheta
+
+    def _eval_grad_at(self, t, factor, x):
+        g = self.a(t)[..., None] * omega(self.theta(t))
+        return g[..., 0] * x[..., 0] + g[..., 1] * x[..., 1], g
+
+    def _grad_x_raw(self, t, x):
+        return self._eval_grad_raw(t, x)[1]
+
+    def _dt_grad_x_raw(self, t, x):
+        t = np.asarray(t, dtype=float)
+        m = (self.da(t)[..., None] * omega(self.theta(t))
+             + (self.a(t) * self.dtheta(t))[..., None] * omega_perp(self.theta(t)))
+        return np.broadcast_to(m, np.broadcast_shapes(np.shape(t), np.shape(x)[:-1]) + (2,))
+
+    def _dt_raw(self, t, x):
+        x = np.asarray(x, dtype=float)
+        m = self._dt_grad_x_raw(t, x)
+        return m[..., 0] * x[..., 0] + m[..., 1] * x[..., 1]
+
+
+def test_symbol_sums_every_witness_time(rng):
+    """phi = a(t) x . omega(t) with a = 1 + 0.3 cos t: J = a and h = a^2,
+    and the witness times t0 and t0 + pi carry a(t0) + a(t0 + pi) = 2, so
+    p = (2 pi)^-1 sum_t J^3 / (|xi| h) = 1 / (pi |xi|) for every covector.
+    A symbol that divides by h at one witness time only reads
+    (a(t0)^2 + a(t0 + pi)^2) / (2 pi |xi| a(t_used)) instead."""
+    pf = _WarpedParallelPhase(lambda t: 1.0 + 0.3 * np.cos(t), lambda t: -0.3 * np.sin(t),
+                              lambda t: np.asarray(t, dtype=float), np.ones_like)
+    for _ in range(5):
+        x = rng.uniform(-0.5, 0.5, 2)
+        a = rng.uniform(0, TWO_PI)
+        lam = rng.uniform(0.5, 20.0)
+        sv = principal_symbol(pf, UnitWeight(), CutoffAtlas.trivial(), x,
+                              lam * np.array([math.cos(a), math.sin(a)]))
+        assert sv.p == pytest.approx(1.0 / (math.pi * lam), rel=1e-6)
+
+
+def test_symbol_degenerate_at_any_witness_time():
+    """With theta(t) = t - sin t, h = theta' = 1 - cos t vanishes at t = 0
+    only.  For xi = -e1 that is the antipodal witness time, not t_used
+    (t = pi, where h = 2), and the symbol still refuses the covector."""
+    pf = _WarpedParallelPhase(np.ones_like, np.zeros_like, lambda t: t - np.sin(t),
+                              lambda t: 1.0 - np.cos(t))
+    x = np.array([0.2, 0.1])
+    roots = solve_time_for_direction(pf, x, np.array([-1.0, 0.0]))
+    assert sorted(round(t, 9) for t, _ in roots) == [0.0, round(math.pi, 9)]
+    with pytest.raises(DegenerateSymbolError):
+        principal_symbol(pf, UnitWeight(), CutoffAtlas.trivial(), x, np.array([-1.0, 0.0]))
+
+
+def test_symbol_even_in_xi(breathing_pf, rng):
+    """xi and -xi have the same witness times with the orientations swapped,
+    so the per-root sum gives p(x, -xi) = p(x, xi) on a deforming geometry;
+    dividing by h at t_used alone made the two differ by up to 5% here."""
+    atlas = CutoffAtlas.trivial()
+    for _ in range(6):
+        x = rng.uniform(-0.5, 0.5, 2)
+        a = rng.uniform(0, math.pi)
+        xi = rng.uniform(1, 10) * np.array([math.cos(a), math.sin(a)])
+        p = principal_symbol(breathing_pf, UnitWeight(), atlas, x, xi).p
+        assert principal_symbol(breathing_pf, UnitWeight(), atlas, x, -xi).p == pytest.approx(
+            p, rel=1e-12)
