@@ -501,7 +501,7 @@ def principal_symbol(pf, mu, atlas, x, xi):
                            h_tilde=0.0, p=0.0, visible=False)
     t_root = np.array([t for t, _ in roots])
     plus = np.array([o > 0 for _, o in roots])
-    k_used = int(np.argmax(plus)) if plus.any() else 0
+    k_used = int(np.argmax(plus))        # the first positive root, else the first root
     xs = np.broadcast_to(x, (len(roots), 2))
     frame = fd_derivatives(pf, t_root, xs)
     w = atlas.chi_pair(xs, frame.s, t_root) * (mu(t_root, xs) ** 2 * frame.J ** 2)
