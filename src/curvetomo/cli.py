@@ -262,11 +262,10 @@ def cmd_symbol(args, config, run):
     pf, mu, _, _ = build_geometry(config)
     atlas = CutoffAtlas.trivial()
     rows = [["xi1", "xi2", "p", "W_plus", "W_minus", "h_tilde", "visible", "t_used"]]
-    for k in range(args.n_dirs):
-        ang = TWO_PI * k / args.n_dirs
-        xi = np.array([math.cos(ang), math.sin(ang)]) * args.xi_norm
-        sv = principal_symbol(pf, mu, atlas, np.array(args.point), xi)
-        rows.append([f"{xi[0]:.9g}", f"{xi[1]:.9g}", f"{sv.p:.12g}", f"{sv.W_plus:.12g}",
+    angles = [TWO_PI * k / args.n_dirs for k in range(args.n_dirs)]
+    xis = np.array([[math.cos(a), math.sin(a)] for a in angles]) * args.xi_norm
+    for sv in principal_symbol(pf, mu, atlas, np.array(args.point), xis):
+        rows.append([f"{sv.xi[0]:.9g}", f"{sv.xi[1]:.9g}", f"{sv.p:.12g}", f"{sv.W_plus:.12g}",
                      f"{sv.W_minus:.12g}", f"{sv.h_tilde:.12g}", str(sv.visible),
                      "" if sv.t_used is None else f"{sv.t_used:.9g}"])
     run.write_csv("symbol.csv", rows)
@@ -284,6 +283,10 @@ def cmd_normal(args, config, run):
 def cmd_reconstruct(args, config, run):
     g = run.read_grid(args.data)
     pf, img, tr = _transform(config)
+    try:
+        tr.check_sinogram(g)
+    except ValueError as exc:
+        raise ConfigError(f"{args.data} does not fit the config: {exc}") from None
     atlas = build_default_atlas(pf, img.support_radius, config.settings("atlas")["n_charts"])
     op = NormalOperator(tr, atlas)
     if args.solver == "cg":

@@ -878,37 +878,50 @@ _PROJECT_ITERS = 20
 _CORRECTOR_ITERS = 8
 
 
+def _newton_to_level(pf, t, factor, s, x, r, g, tol, steps):
+    """At most ``steps`` Newton steps x <- x - r g / |g|^2 along grad phi
+    onto {phi(t, .) = s}, from points x (n, 2) (updated in place) with
+    residuals r = phi - s and gradients g there.  Each point stops once its
+    own |r| < tol, so its result does not depend on which other points share
+    the call.  Returns (x, g at x, converged mask)."""
+    done = np.abs(r) < tol
+    if done.all() or not steps:
+        return x, g, done
+    # g may be a view of the time factor: written into, it is copied
+    g = np.array(np.broadcast_to(g, x.shape))
+    live = np.flatnonzero(~done)
+    r = r[live]
+    for _ in range(steps):
+        gl, xl = g[live], x[live]
+        c = r / np.maximum(gl[:, 0] * gl[:, 0] + gl[:, 1] * gl[:, 1], 1e-300)
+        xl = np.stack([xl[:, 0] - c * gl[:, 0], xl[:, 1] - c * gl[:, 1]], axis=-1)
+        phi, gl = pf._eval_grad_at(t[live], factor[live], xl)
+        x[live] = xl
+        g[live] = gl
+        r = phi - s[live]
+        on = np.abs(r) < tol
+        done[live[on]] = True
+        live, r = live[~on], r[~on]
+        if not len(live):
+            break
+    return x, g, done
+
+
 def project_to_level(pf, t, s, x0, tol):
-    """Newton projection of points onto {phi(t, .) = s} along grad phi.
+    """Newton projection of points onto {phi(t, .) = s} along grad phi
+    (``_newton_to_level``, ``_PROJECT_ITERS`` steps).
 
     Vectorized over t, s and x0 (..., 2), broadcast together; returns
-    (points, ok_mask).  Each point stops once its own residual passes, so
-    its result does not depend on which other points share the call.
-    Scalar callers wrap the result.
+    (points, ok_mask).  Scalar callers wrap the result.
     """
     x0 = np.asarray(x0, dtype=float)
     shape = np.broadcast_shapes(np.shape(t), np.shape(s), x0.shape[:-1])
     t = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
     s = np.broadcast_to(np.asarray(s, dtype=float), shape).ravel()
     x = np.broadcast_to(x0, shape + (2,)).reshape(-1, 2).copy()
-    ok = np.zeros(len(t), dtype=bool)
-    # the points still iterating: flat index, time, time factor, level, point
-    idx, tl, fl, sl, xl = np.arange(len(t)), t, pf._time_factor(t), s, x
-    for _ in range(_PROJECT_ITERS):
-        phi, g = pf._eval_grad_at(tl, fl, xl)
-        r = phi - sl
-        live = ~(np.abs(r) < tol)
-        ok[idx[~live]] = True
-        if not live.any():
-            break
-        g = np.broadcast_to(g, xl.shape)
-        idx, tl, sl, r = idx[live], tl[live], sl[live], r[live]
-        fl, xl, g = (np.compress(live, a, axis=0) for a in (fl, xl, g))
-        g2 = np.maximum(np.sum(g * g, axis=-1), 1e-300)
-        xl = xl - (r / g2)[..., None] * g
-        x[idx] = xl
-    else:
-        ok[idx[np.abs(pf._eval_grad_at(tl, fl, xl)[0] - sl) < tol]] = True
+    factor = pf._time_factor(t)
+    phi, g = pf._eval_grad_at(t, factor, x)
+    x, _, ok = _newton_to_level(pf, t, factor, s, x, phi - s, g, tol, _PROJECT_ITERS)
     ok &= pf.branch_mask(t, x)
     return x.reshape(shape + (2,)), ok.reshape(shape)
 
@@ -989,29 +1002,11 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, emit=None,
         steps += len(gid)
         nxt = advance(p, g, dstep)
         phi, g = pf._eval_grad_at(ta, factor, nxt)
-        r = phi - sa
-        ok = np.abs(r) < tol
-        if not ok.all():
-            # corrector: Newton steps along grad phi back onto the level set,
-            # for the walks off it only, each until its own residual passes.
-            # g may be a view of the time factor: written into, it is copied
-            g = np.array(np.broadcast_to(g, nxt.shape))
-            live = np.flatnonzero(~ok)
-            r = r[live]
-            for _ in range(_CORRECTOR_ITERS - 1):
-                gl, xl = g[live], nxt[live]
-                c = r / np.maximum(gl[:, 0] * gl[:, 0] + gl[:, 1] * gl[:, 1], 1e-300)
-                xl = np.stack([xl[:, 0] - c * gl[:, 0], xl[:, 1] - c * gl[:, 1]], axis=-1)
-                phi, gl = pf._eval_grad_at(ta[live], factor[live], xl)
-                nxt[live] = xl
-                g[live] = gl
-                r = phi - sa[live]
-                on = np.abs(r) < tol
-                ok[live[on]] = True
-                live, r = live[~on], r[~on]
-                if not len(live):
-                    break
-            stalled[gid[~ok]] = True
+        # corrector: back onto the level set along grad phi, for the walks
+        # off it only
+        nxt, g, ok = _newton_to_level(pf, ta, factor, sa, nxt, phi - sa, g, tol,
+                                      _CORRECTOR_ITERS - 1)
+        stalled[gid[~ok]] = True
         keep = ok & pf.branch_mask(ta, nxt)
         if support_stop is not None:
             keep &= nxt[:, 0] * nxt[:, 0] + nxt[:, 1] * nxt[:, 1] <= support_stop2

@@ -473,10 +473,12 @@ def data_projection_rank(pf, t, x, sigma):
 def principal_symbol(pf, mu, atlas, x, xi):
     """Principal symbol of chi_X A* chi_Y A at the covector (x, xi).
 
-    Witness times come from the direction solver over the phase's whole
-    ``t_range``, and all of them are evaluated on one frame.  Each witness
-    time t contributes its own term, weighted by the chart cutoffs (summed
-    over the atlas, so for the trivial atlas this is exactly the
+    ``xi`` is one covector (2,), which returns one SymbolValue, or a batch
+    (n, 2) at the same x (2,), which returns one per row.  Witness times
+    come from one direction solve over the phase's whole ``t_range``, and
+    the witness times of all covectors are evaluated on one frame.  Each
+    witness time t contributes its own term, weighted by the chart cutoffs
+    (summed over the atlas, so for the trivial atlas this is exactly the
     single-chart formula):
 
         p = (2 pi)^{-1} sum_t chi(t) |mu(t,x)|^2 J(t,x)^2 / |h~(t)|
@@ -489,30 +491,42 @@ def principal_symbol(pf, mu, atlas, x, xi):
     there.
 
     Invisible covectors (no roots) return p = 0 with ``visible=False``.
-    Raises DegenerateSymbolError when |h~| < 1e-12 |xi| at any witness time
-    (local Bolker failure at this covector).
+    Raises DegenerateSymbolError for the first covector with |h~| < 1e-12
+    |xi| at any of its witness times (local Bolker failure there).
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    xi_norm = float(np.hypot(xi[0], xi[1]))
-    roots = solve_time_for_direction(pf, x, xi)
-    if not roots:
-        return SymbolValue(x=x, xi=xi, t_used=None, W_plus=0.0, W_minus=0.0,
-                           h_tilde=0.0, p=0.0, visible=False)
-    t_root = np.array([t for t, _ in roots])
-    plus = np.array([o > 0 for _, o in roots])
-    k_used = int(np.argmax(plus))        # the first positive root, else the first root
-    xs = np.broadcast_to(x, (len(roots), 2))
+    xis = np.atleast_2d(xi)
+    xi_norm = np.hypot(xis[:, 0], xis[:, 1])
+    roots = solve_time_for_direction(pf, x, xis)
+    # every covector's witness times, in covector order; covector k owns
+    # the entries from bounds[k] to bounds[k + 1]
+    bounds = np.cumsum([0] + [len(r) for r in roots])
+    t_root = np.array([t for r in roots for t, _ in r])
+    plus = np.array([o > 0 for r in roots for _, o in r], dtype=bool)
+    owner = np.repeat(np.arange(len(xis)), np.diff(bounds))
+    xs = np.broadcast_to(x, (len(t_root), 2))
     frame = fd_derivatives(pf, t_root, xs)
     w = atlas.chi_pair(xs, frame.s, t_root) * (mu(t_root, xs) ** 2 * frame.J ** 2)
-    h_tilde = xi_norm / frame.J * frame.h
-    worst = int(np.argmin(np.abs(h_tilde)))
-    if abs(h_tilde[worst]) < 1e-12 * xi_norm:
+    h_tilde = xi_norm[owner] / frame.J * frame.h
+    bad = np.abs(h_tilde) < 1e-12 * xi_norm[owner]
+    if bad.any():
+        k = owner[np.argmax(bad)]
+        worst = bounds[k] + int(np.argmin(np.abs(h_tilde[bounds[k]:bounds[k + 1]])))
         raise DegenerateSymbolError(
-            f"local Bolker failure at x={x.tolist()}, xi={xi.tolist()}, "
+            f"local Bolker failure at x={x.tolist()}, xi={xis[k].tolist()}, "
             f"t={t_root[worst]:.9g}: h~ = {h_tilde[worst]:.3e}"
         )
-    p = float(np.sum(w / np.abs(h_tilde))) / TWO_PI
-    return SymbolValue(x=x, xi=xi, t_used=float(t_root[k_used]), W_plus=float(np.sum(w[plus])),
-                       W_minus=float(np.sum(w[~plus])), h_tilde=float(h_tilde[k_used]), p=p,
-                       visible=True)
+    out = []
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:
+            out.append(SymbolValue(x=x, xi=xis[k], t_used=None, W_plus=0.0, W_minus=0.0,
+                                   h_tilde=0.0, p=0.0, visible=False))
+            continue
+        wk, pk = w[a:b], plus[a:b]
+        used = a + int(np.argmax(pk))    # the first positive root, else the first root
+        out.append(SymbolValue(
+            x=x, xi=xis[k], t_used=float(t_root[used]), W_plus=float(np.sum(wk[pk])),
+            W_minus=float(np.sum(wk[~pk])), h_tilde=float(h_tilde[used]),
+            p=float(np.sum(wk / np.abs(h_tilde[a:b]))) / TWO_PI, visible=True))
+    return out if xi.ndim == 2 else out[0]

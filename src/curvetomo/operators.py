@@ -397,7 +397,7 @@ def build_default_atlas(pf, support_radius, n_charts):
 class _ForwardPlan:
     points: np.ndarray        # (P, 2) sample positions
     coeff: np.ndarray         # (P,) trapezoid weight times mu
-    curve_id: np.ndarray      # (P,) flat (s, t) index
+    curve_id: np.ndarray      # (P,) flat (s, t) index, int32 below 2^31 curves
     failed: np.ndarray        # (ncurves,) bool: trace/projection failures
     n_failed: int             # failed curves, counted once per plan
     n_curves: int
@@ -904,7 +904,7 @@ class LevelSetTransform:
         trim2 = trim_r * trim_r
         capacity = len(kept_flat) * int(2.0 * trim_r / self.step + 2)
         points = _Buffer(capacity, width=2)
-        ids = _Buffer(capacity, dtype=np.int64)
+        ids = _Buffer(capacity, dtype=np.int32 if n_curves < 2**31 else np.int64)
         coeff = _Buffer(capacity)
 
         def emit(p, local_idx, weights):
@@ -954,11 +954,12 @@ class LevelSetTransform:
         whatever the block size or the thread.  The blocks run on the
         threads of ``_run_blocks`` and are appended to M in row order.
         """
-        ns = len(self.s_grid)
-        n_curves = ns * len(self.t_grid)
+        ns, nt = len(self.s_grid), len(self.t_grid)
+        n_curves = ns * nt
         nx, ny = self.nx, self.ny
         npx = nx * ny
-        rows_per_block = self.chunk_t * ns
+        # at most every time in one block: ids // rows_per_block stays in ids' type
+        rows_per_block = min(self.chunk_t, nt) * ns
         n_blocks = -(-n_curves // rows_per_block)
         # block ids in the smallest unsigned type: little memory, and NumPy
         # radix-sorts them up to 16 bits
@@ -1111,19 +1112,31 @@ class LevelSetTransform:
         self.stats.update(**_matrix_stats("k", self._adj_tables, time.perf_counter() - start),
                           workers=self.workers)
 
+    def check_sinogram(self, g):
+        """Raise ValueError unless ``g`` is sampled on this transform's
+        (s, t) grid: as many samples on each axis, each within 1e-9 times
+        max(1, span of the axis) of the transform's."""
+        for axis, mine, theirs in (("s", self.s_grid, g.s_grid), ("t", self.t_grid, g.t_grid)):
+            if not (theirs.shape == mine.shape and np.all(
+                    np.abs(theirs - mine) <= 1e-9 * max(1.0, mine[-1] - mine[0]))):
+                raise ValueError(
+                    f"the sinogram's {axis} grid ({len(theirs)} samples, "
+                    f"{theirs[0]:.9g} to {theirs[-1]:.9g}) is not the transform's "
+                    f"({len(mine)} samples, {mine[0]:.9g} to {mine[-1]:.9g})")
+
     def adjoint(self, g):
         """Apply the adjoint: per-pixel time quadrature of mu * J * g(phi, t).
 
         Phase values outside the s grid (and off-branch samples) contribute
-        zero, realizing the data cutoff.  NaN samples read as zero.
+        zero, realizing the data cutoff.  NaN samples read as zero.  Data
+        on another (s, t) grid raise ValueError (``check_sinogram``).
 
         ``g.values`` may carry leading stack axes, ``(..., ns, nt)``; the
         image's values are then ``(..., nx, ny)``, K is read once for the
         whole stack, and every slice has the bits of an adjoint of that
         slice alone.
         """
-        if len(g.s_grid) != len(self.s_grid) or len(g.t_grid) != len(self.t_grid):
-            raise ValueError("sinogram does not match the planned geometry")
+        self.check_sinogram(g)
         if self._adj_tables is None:
             self._build_adjoint_tables()
         values = np.asarray(g.values, dtype=float)
@@ -1316,9 +1329,11 @@ class NormalOperator:
 
     def back_data(self, g):
         """The data-side half of the normal equations: for the symmetric
-        variant sum_i sqrt(chi_iX) A* (chi_iY g)."""
+        variant sum_i sqrt(chi_iX) A* (chi_iY g).  Data on another (s, t)
+        grid than the transform's raise ValueError."""
         _require_single(g.values, "sinogram")
         tr = self.transform
+        tr.check_sinogram(g)
         return ImageGrid(tr.nx, tr.ny, tr.spacing, tr.origin.copy(), self._chart_sum(g),
                          tr.support_radius)
 

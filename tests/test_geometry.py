@@ -21,7 +21,15 @@ from curvetomo import (
     make_static_phase,
     trace_level_curve,
 )
-from curvetomo.geometry import _MOTION_REGISTRY, PhaseFunction, Rect, TWO_PI, make_motion
+from curvetomo.geometry import (
+    _MOTION_REGISTRY,
+    TWO_PI,
+    PhaseFunction,
+    Rect,
+    _newton_to_level,
+    curve_tolerance,
+    make_motion,
+)
 
 from conftest import atlas_probe_pairs, support_samples
 
@@ -458,6 +466,56 @@ def test_trace_fan_ray_collinear():
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
     cross = np.abs(d[:, 0] * d[0, 1] - d[:, 1] * d[0, 0])
     assert np.max(cross) < 1e-6
+
+
+def _newton_inputs(pf, t, s, x):
+    factor = pf._time_factor(t)
+    phi, g = pf._eval_grad_at(t, factor, x)
+    return factor, phi - s, g
+
+
+def test_newton_to_level_one_static_step_lands_on_the_line(static_pf, rng):
+    """phi = x . omega(t) is linear in x, so one Newton step from x0 lands at
+    x0 + (s - x0 . omega) omega, on the line x . omega = s."""
+    t = rng.uniform(0, TWO_PI, 50)
+    s = rng.uniform(-1, 1, 50)
+    x0 = rng.uniform(-1, 1, (50, 2))
+    factor, r, g = _newton_inputs(static_pf, t, s, x0)
+    x, g1, done = _newton_to_level(static_pf, t, factor, s, x0.copy(), r, g,
+                                   curve_tolerance(static_pf), 1)
+    w = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    np.testing.assert_allclose(x, x0 + (s - np.sum(x0 * w, axis=-1))[:, None] * w,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.sum(x * w, axis=-1), s, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(g1, w)
+    assert done.all()
+
+
+def test_newton_to_level_zero_steps_returns_its_inputs(breathing_pf, rng):
+    t = rng.uniform(0, TWO_PI, 40)
+    x0 = rng.uniform(-0.8, 0.8, (40, 2))
+    s = breathing_pf.eval(t, x0)
+    s[::2] += 0.05          # every other point off its level
+    factor, r, g = _newton_inputs(breathing_pf, t, s, x0)
+    x, g0, done = _newton_to_level(breathing_pf, t, factor, s, x0.copy(), r, g,
+                                   curve_tolerance(breathing_pf), 0)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(g0, g)
+    np.testing.assert_array_equal(done, np.arange(40) % 2 == 1)
+
+
+def test_newton_to_level_non_finite_residual_is_unconverged(static_pf):
+    """A NaN level or point gives a NaN residual, which never passes the
+    tolerance: the point comes back flagged, the others converge."""
+    t = np.array([0.3, 0.3, 0.3])
+    s = np.array([0.1, np.nan, 0.1])
+    x0 = np.array([[0.2, 0.1], [0.2, 0.1], [np.nan, 0.1]])
+    factor, r, g = _newton_inputs(static_pf, t, s, x0)
+    with np.errstate(all="raise"):
+        x, _, done = _newton_to_level(static_pf, t, factor, s, x0.copy(), r, g,
+                                      curve_tolerance(static_pf), 20)
+    np.testing.assert_array_equal(done, [True, False, False])
+    assert abs(static_pf.eval(0.3, x[0]) - 0.1) < curve_tolerance(static_pf)
 
 
 def test_trace_seed_projection_error(static_pf):

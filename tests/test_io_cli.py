@@ -630,6 +630,28 @@ def test_cli_reconstruct_and_normal(small_config, tmp_path):
         _assert_set_up_stats_recorded(out, small_config, "mk")
 
 
+@pytest.mark.parametrize("change", [
+    {"sinogram": {"ns": 17, "nt": 24, "s_range": [-3, 3]}, "t_range": [0, 3]},
+    {"sinogram": {"ns": 19, "nt": 24}},
+])
+def test_cli_reconstruct_refuses_another_grid(change, tmp_path, capsys):
+    """Data sampled on another (s, t) grid than the config's are a config
+    error (exit 2) before any solve: same lengths on other values would be
+    read at the wrong places, other lengths would fail to broadcast."""
+    base = {"image": {"nx": 16}, "sinogram": {"ns": 17, "nt": 24}}
+    cfg, other = tmp_path / "cfg.json", tmp_path / "other.json"
+    cfg.write_text(json.dumps(base))
+    other.write_text(json.dumps({**base, **change}))
+    assert main(["phantom", "--config", str(cfg), "--out-dir", str(tmp_path / "ph")]) == 0
+    assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path / "fw"),
+                 "--image", str(tmp_path / "ph" / "phantom.grid")]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(other), "--out-dir", str(tmp_path / "rec"),
+                 "--data", str(tmp_path / "fw" / "sinogram.grid"), "--iters", "2"]) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "rec" / "solve_report.json").exists()
+
+
 @pytest.mark.parametrize("solver, iters", [("cg", 8), ("landweber", 30)])
 def test_cli_reconstruct_atlas_is_unbiased(solver, iters, tmp_path):
     """`reconstruct` solves the plain cutoff normal equations, which the true

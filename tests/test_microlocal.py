@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvetomo import (
     BreathingMotion,
+    BumpWeight,
     Chart,
     CutoffAtlas,
     DegenerateSymbolError,
@@ -484,6 +485,43 @@ def test_symbol_degenerate_at_any_witness_time():
     assert sorted(round(t, 9) for t, _ in roots) == [0.0, round(math.pi, 9)]
     with pytest.raises(DegenerateSymbolError):
         principal_symbol(pf, UnitWeight(), CutoffAtlas.trivial(), x, np.array([-1.0, 0.0]))
+
+
+def _symbol_fields(sv):
+    return (sv.p, sv.W_plus, sv.W_minus, sv.h_tilde, sv.t_used, sv.visible, sv.xi.tolist())
+
+
+def test_symbol_batch_equals_one_covector_at_a_time(static_pf, breathing_pf):
+    """A batch of covectors gives each row's SymbolValue with the bits of a
+    call for that covector alone, visible or not (the limited-angle static
+    phase sees only the directions within its time window, up to sign)."""
+    limited = make_static_phase()
+    limited.t_range = (0.0, 1.0)
+    x = np.array([0.1, -0.05])
+    ang = TWO_PI * np.arange(24) / 24
+    xis = 3.0 * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    for pf, mu in ((static_pf, UnitWeight()), (breathing_pf, BumpWeight(0.3)),
+                   (make_fanbeam_phase(3.0), UnitWeight()), (limited, UnitWeight())):
+        batch = principal_symbol(pf, mu, CutoffAtlas.trivial(), x, xis)
+        assert len(batch) == len(xis)
+        for xi, sv in zip(xis, batch):
+            one = principal_symbol(pf, mu, CutoffAtlas.trivial(), x, xi)
+            assert _symbol_fields(sv) == _symbol_fields(one)
+    visible = [sv.visible for sv in principal_symbol(limited, UnitWeight(),
+                                                     CutoffAtlas.trivial(), x, xis)]
+    assert any(visible) and not all(visible)
+
+
+def test_symbol_batch_raises_for_the_first_degenerate_covector():
+    """theta(t) = t - sin t: h vanishes at t = 0, a witness time of +-e1
+    but not of e2.  A batch refuses the first covector that meets it."""
+    pf = _WarpedParallelPhase(np.ones_like, np.zeros_like, lambda t: t - np.sin(t),
+                              lambda t: 1.0 - np.cos(t))
+    xis = np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
+    assert principal_symbol(pf, UnitWeight(), CutoffAtlas.trivial(), np.array([0.2, 0.1]),
+                            xis[:1])[0].visible
+    with pytest.raises(DegenerateSymbolError, match=r"xi=\[-1\.0, 0\.0\]"):
+        principal_symbol(pf, UnitWeight(), CutoffAtlas.trivial(), np.array([0.2, 0.1]), xis)
 
 
 def test_symbol_even_in_xi(breathing_pf, rng):

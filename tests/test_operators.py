@@ -501,6 +501,34 @@ def test_stack_shapes_are_checked_on_the_trailing_axes(small_transform):
         tr.forward(make_image_grid(32, values=np.zeros((2, 32, 32))))
 
 
+def test_adjoint_and_back_data_refuse_another_grid(small_transform):
+    """A sinogram is read only on the transform's (s, t) grid: other values
+    at the same lengths would be read at the wrong places, other lengths
+    would not broadcast against the chart weights.  Grids within rounding
+    of the transform's are the same grid."""
+    tr = small_transform
+    g = smooth_sino(tr, 30)
+    N = NormalOperator(tr)
+    ds = tr.s_grid[1] - tr.s_grid[0]
+    for other in (Sinogram(tr.s_grid + 0.5 * ds, tr.t_grid, g.values),
+                  Sinogram(tr.s_grid, tr.t_grid[::-1].copy(), g.values),
+                  Sinogram(tr.s_grid[1:], tr.t_grid, g.values[1:])):
+        with pytest.raises(ValueError, match="grid"):
+            tr.adjoint(other)
+        with pytest.raises(ValueError, match="grid"):
+            N.back_data(other)
+    rounded = Sinogram(tr.s_grid * (1 + 1e-13), tr.t_grid + 1e-12, g.values)
+    np.testing.assert_array_equal(tr.adjoint(rounded).values, tr.adjoint(g).values)
+
+
+def test_plan_curve_ids_are_int32(small_transform):
+    """The flat (s, t) index of a plan point is below ns * nt, so it is
+    stored in 4 bytes."""
+    ids = small_transform.plan.curve_id
+    assert ids.dtype == np.int32
+    assert 0 <= ids.min() and ids.max() < len(small_transform.s_grid) * len(small_transform.t_grid)
+
+
 def test_normal_operator_refuses_stacks(small_transform):
     """apply and back_data take one image or sinogram: a stack of one slice
     per chart would otherwise pair each slice with one chart."""
