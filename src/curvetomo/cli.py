@@ -212,21 +212,16 @@ def cmd_check_bolker(args, config, run):
     n = args.grid
     xs = np.linspace(-r, r, n)
     t_vals = np.linspace(pf.t_range[0], pf.t_range[1], args.times, endpoint=False)
-    # every branch-valid sample, in (t, x1, x2) order
+    # every sample, in (t, x1, x2) order
     T, X1, X2 = np.meshgrid(t_vals, xs, xs, indexing="ij")
-    valid = pf.branch_mask(T, np.stack([X1, X2], axis=-1))
-    t, x = T[valid], np.stack([X1[valid], X2[valid]], axis=-1)
-    if not len(t):
-        raise OutOfRangeError(f"no point of the {n} x {n} grid is on the phase's branch "
-                              f"at any of the {args.times} times in {pf.t_range}")
-    h = np.zeros(T.shape)
-    h[valid] = fd_derivatives(pf, t, x).h
+    t, x = T.ravel(), np.stack([X1.ravel(), X2.ravel()], axis=-1)
+    h = fd_derivatives(pf, t, x).h
     rank, det = data_projection_rank(pf, t, x, sigma=1.0)
     rows = [[f"{a:.9g}", f"{b:.9g}", f"{c:.9g}", f"{d:.12g}", str(e), f"{f:.12g}"]
-            for a, b, c, d, e, f in zip(t.tolist(), *x.T.tolist(), h[valid].tolist(),
+            for a, b, c, d, e, f in zip(t.tolist(), *x.T.tolist(), h.tolist(),
                                         rank.tolist(), det.tolist())]
     run.write_csv("bolker.csv", [["t", "x1", "x2", "h", "rank", "det"]] + rows)
-    run.write_pgm("bolker_h.pgm", np.abs(h[0]))
+    run.write_pgm("bolker_h.pgm", np.abs(h.reshape(T.shape)[0]))
     h_vals = np.array([float(r_[3]) for r_ in rows])
     run.manifest["metrics"]["min_abs_h"] = float(np.min(np.abs(h_vals)))
     run.manifest["metrics"]["max_abs_h"] = float(np.max(np.abs(h_vals)))

@@ -10,7 +10,8 @@ class DomainError(CurveTomoError):
 
 
 class BranchError(CurveTomoError):
-    """Evaluation outside the chosen branch of a multi-valued phase."""
+    """arg theta that no shift by 2 pi places near the phase's t_range
+    (``homogeneous_extension``)."""
 
 
 class SeedProjectionError(CurveTomoError):

@@ -468,6 +468,9 @@ def _central_grad(value, h, x):
 class PhaseFunction:
     """Base class of the phase families.
 
+    Every family is smooth on its whole ``domain`` at every t, so a phase
+    value needs no branch: batch code reads it wherever the point is.
+
     A family writes phi and grad_x phi once, in ``_eval_grad_at(t, factor,
     x)``, which returns both from one evaluation (for a dynamic phase, one
     inversion of the motion); the gradient may come back unbroadcast, one
@@ -487,7 +490,7 @@ class PhaseFunction:
     analytic derivatives are tested against, and the fallback of a family
     without analytic time derivatives.  ``eval`` validates preconditions and
     raises; the ``_raw`` accessors are the non-raising path used by batch
-    internals together with ``branch_mask`` / ``domain`` termination logic.
+    internals, which stop at the ``domain``.
     """
 
     analytic_derivatives = False
@@ -530,11 +533,6 @@ class PhaseFunction:
         h = self.fd_step
         t = np.asarray(t, dtype=float)
         return (self._grad_x_raw(t + h, x) - self._grad_x_raw(t - h, x)) / (2 * h)
-
-    def branch_mask(self, t, x):
-        """True where the phase value is on its smooth branch."""
-        x = np.asarray(x, dtype=float)
-        return np.ones(np.broadcast_shapes(x[..., 0].shape, np.shape(t)), dtype=bool)
 
     def _check(self, t, x):
         return None
@@ -660,14 +658,22 @@ class DynamicPhase(PhaseFunction):
 class FanBeamPhase(PhaseFunction):
     """Fan-beam level function for a source on the circle of radius R.
 
-    With u = R sin t - x^2 and v = x^1 - R cos t the phase is the polar angle
-    of the normalized ray perpendicular, atan2(v, u), on the branch v > 0.
-    Level sets are the rays from the source S(t) = R (cos t, sin t); the
-    boundary case v = 0, u > 0 evaluates smoothly to 0 and is allowed, any
-    other violation of the sign condition raises BranchError.
+    The phase is the fan angle gamma of the ray from the source
+    S(t) = R omega(t) through x: the counterclockwise angle from -S to
+    x - S (Kak & Slaney, *Principles of Computerized Tomographic Imaging*,
+    ch. 3),
 
-    ``t_range`` is cut down so the branch condition holds over the whole
-    object disk of radius ``support_radius``: a window centered at t = pi.
+        gamma = atan2(cross(-S, x - S), (-S) . (x - S)),
+
+    with cross(a, b) = a^1 b^2 - a^2 b^1.  Level sets are the rays from
+    S(t).  For |x| < R the dot product is at least R^2 - R |x| > 0, so gamma
+    is smooth at every t on the whole domain.  With u = R sin t - x^2 and
+    v = x^1 - R cos t, x - S = (v, -u), grad_x gamma = (u, v) / |x - S|^2
+    and dt gamma = -x . (x - S) / |x - S|^2.
+
+    The default ``t_range`` is a window centred at t = pi whose rays from
+    the source's end points just graze the object disk of radius
+    ``support_radius``, widened on each side by ``t_margin``.
     """
 
     analytic_derivatives = True
@@ -687,41 +693,34 @@ class FanBeamPhase(PhaseFunction):
         half = math.asin(self.support_radius / self.R) + t_margin
         self.t_range = (0.5 * math.pi + half, 1.5 * math.pi - half)
 
-    def _uv(self, t, x):
+    def _time_factor(self, t):
+        return omega(t)
+
+    def _uv(self, w, x):
+        # x - S(t) = (v, -u), from w = omega(t)
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        u = self.R * np.sin(t) - x[..., 1]
-        v = x[..., 0] - self.R * np.cos(t)
-        return u, v
+        return self.R * w[..., 1] - x[..., 1], x[..., 0] - self.R * w[..., 0]
 
-    def branch_mask(self, t, x):
-        u, v = self._uv(t, x)
-        tol = 1e-12 * self.R  # the v = 0, u > 0 boundary is smooth and allowed
-        return (v > tol) | ((np.abs(v) <= tol) & (u > 0.0))
-
-    def _check(self, t, x):
-        if not np.all(self.branch_mask(t, x)):
-            raise BranchError("fan-beam phase evaluated off the sgn(x^1 - R cos t) > 0 branch")
-
-    def _eval_grad_at(self, t, factor, x):
-        u, v = self._uv(t, x)
+    def _eval_grad_at(self, t, w, x):
+        u, v = self._uv(w, x)
+        c, s = w[..., 0], w[..., 1]
         q = u * u + v * v
-        return np.arctan2(v, u), np.stack([u / q, v / q], axis=-1)
+        # cross(-S, x - S) and (-S) . (x - S), both divided by R
+        return np.arctan2(u * c + v * s, u * s - v * c), np.stack([u / q, v / q], axis=-1)
 
     def _grad_x_raw(self, t, x):
         return self._eval_grad_raw(t, x)[1]
 
     def _dt_raw(self, t, x):
-        u, v = self._uv(t, x)
-        t = np.asarray(t, dtype=float)
-        q = u * u + v * v
-        return self.R * (u * np.sin(t) - v * np.cos(t)) / q
+        x = np.asarray(x, dtype=float)
+        u, v = self._uv(omega(t), x)
+        return (x[..., 1] * u - x[..., 0] * v) / (u * u + v * v)
 
     def _dt_grad_x_raw(self, t, x):
-        u, v = self._uv(t, x)
-        t = np.asarray(t, dtype=float)
-        du = self.R * np.cos(t)
-        dv = self.R * np.sin(t)
+        w = omega(t)
+        u, v = self._uv(w, x)
+        du = self.R * w[..., 0]
+        dv = self.R * w[..., 1]
         q = u * u + v * v
         dq = 2.0 * (u * du + v * dv)
         gx = (du * q - u * dq) / (q * q)
@@ -740,7 +739,8 @@ def make_dynamic_phase(motion, use_analytic=True):
 
 
 def make_fanbeam_phase(R, support_radius=1.05, t_margin=0.05, domain=DEFAULT_DOMAIN):
-    """Fan-beam phase arg(alpha_perp); see FanBeamPhase for the branch."""
+    """Fan-beam phase: the fan angle of the ray from the source; see
+    FanBeamPhase."""
     return FanBeamPhase(R, support_radius, t_margin, domain)
 
 
@@ -922,7 +922,6 @@ def project_to_level(pf, t, s, x0, tol):
     factor = pf._time_factor(t)
     phi, g = pf._eval_grad_at(t, factor, x)
     x, _, ok = _newton_to_level(pf, t, factor, s, x, phi - s, g, tol, _PROJECT_ITERS)
-    ok &= pf.branch_mask(t, x)
     return x.reshape(shape + (2,)), ok.reshape(shape)
 
 
@@ -1004,10 +1003,9 @@ def _trace_batch(pf, t, s, p0, step, *, stop_rect, support_stop=None, emit=None,
         phi, g = pf._eval_grad_at(ta, factor, nxt)
         # corrector: back onto the level set along grad phi, for the walks
         # off it only
-        nxt, g, ok = _newton_to_level(pf, ta, factor, sa, nxt, phi - sa, g, tol,
-                                      _CORRECTOR_ITERS - 1)
-        stalled[gid[~ok]] = True
-        keep = ok & pf.branch_mask(ta, nxt)
+        nxt, g, keep = _newton_to_level(pf, ta, factor, sa, nxt, phi - sa, g, tol,
+                                        _CORRECTOR_ITERS - 1)
+        stalled[gid[~keep]] = True
         if support_stop is not None:
             keep &= nxt[:, 0] * nxt[:, 0] + nxt[:, 1] * nxt[:, 1] <= support_stop2
         if rect_test:

@@ -428,7 +428,8 @@ def fanbeam_convert(g_fan, R, ns, n_beta, s_range=None, beta_range=None,
                     weight_jacobian=False):
     """Rebin fan data (s-axis = fan angle gamma, t-axis = source angle t)
     onto the parallel grid (s, beta) through s = R sin gamma,
-    beta = t + gamma - pi/2.
+    beta = t + gamma - pi/2.  gamma is the fan-beam phase's label, so a fan
+    transform's sinogram rebins as it is.
 
     Bilinear interpolation of samples; the Jacobian R cos(gamma) is recorded
     (and applied only when ``weight_jacobian``: rebinning moves samples, not

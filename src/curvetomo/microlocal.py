@@ -128,9 +128,9 @@ def homogeneous_equivalence_check(pf, t_samples, x_samples=None):
     mixed theta-x Hessian of the order-one homogeneous extension.
 
     Accepts either an iterable of (t, x) pairs or parallel arrays ``t
-    (n,)`` and ``x (n, 2)`` in the branch-safe region.  Agreement of the two
-    classifications on every sample is the numerical shadow of the
-    if-and-only-if statement; the Hessian route assembles the mixed-derivative
+    (n,)`` and ``x (n, 2)``, with t near the phase's ``t_range`` (see
+    ``homogeneous_extension``).  Agreement of the two classifications on
+    every sample is the numerical shadow of the if-and-only-if statement; the Hessian route assembles the mixed-derivative
     matrix from the product-rule expansion and classifies its columns
     independently of the direct [grad, dt grad] route.  Both routes call a
     normalized determinant zero at or below 1e-8 (``_DET_THRESHOLD``).

@@ -198,15 +198,10 @@ def default_ns(nx):
 
 
 def _phase_range(pf, t, pts):
-    """Min and max of phi over every (point, time) pair on the phase's
-    branch, from one evaluation of (points, 1, 2) against the times, which
-    computes the phase's time factor once per time."""
-    t = np.asarray(t, dtype=float)
-    pts = np.asarray(pts, dtype=float)[:, None, :]
-    on = pf.branch_mask(t, pts)
-    if not on.any():
-        raise ValueError("phase has no branch-valid samples over the support")
-    vals = pf._eval_raw(t, pts)[on]
+    """Min and max of phi over every (point, time) pair, from one evaluation
+    of (points, 1, 2) against the times, which computes the phase's time
+    factor once per time."""
+    vals = pf._eval_raw(np.asarray(t, dtype=float), np.asarray(pts, dtype=float)[:, None, :])
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -834,19 +829,18 @@ class LevelSetTransform:
 
     def _nearest_seeds(self, seeds):
         """Per (t, s) sample, an (nt, ns) array: the index of the first seed
-        whose phase value is nearest s, or -1 where none is on the branch or
-        within the capture window, 0.9 |grad phi| times a seed cell's
-        diagonal.
+        whose phase value is nearest s, or -1 where none is within the
+        capture window, 0.9 |grad phi| times a seed cell's diagonal.
 
         All (seed, time) pairs are evaluated at once, and the argmin runs
         over blocks of about ``_SEED_BLOCK_CELLS`` (time, seed, s) cells.
-        An off-branch seed reads +inf and captures nothing, so argmin passes
-        over it."""
+        A seed with a non-finite phase value reads +inf and captures
+        nothing, so argmin passes over it."""
         pf = self.pf
         ns, nt = len(self.s_grid), len(self.t_grid)
         cell = float(np.max(np.abs(np.diff(np.unique(seeds[:, 0])))))
-        on = pf.branch_mask(self.t_grid, seeds[:, None, :])
         vals, grads = pf._eval_grad_raw(self.t_grid, seeds[:, None, :])
+        on = np.isfinite(vals)
         capture = 0.9 * np.hypot(grads[..., 0], grads[..., 1]) * cell * math.sqrt(2.0) + 1e-12
         vals = np.where(on, vals, np.inf).T                  # (time, seed)
         capture = np.where(on, capture, -np.inf).T
@@ -1067,11 +1061,11 @@ class LevelSetTransform:
         ``_BLOCK_BYTES``.
 
         Per pixel and time the phase value phi(t, x) is read on the s grid;
-        values off the grid, and off-branch samples, contribute zero, which
-        realizes the data cutoff.  The phase's time factor is computed once
-        per build, and |grad phi| at the gradient's own shape: once per time
-        where it depends on t alone (static and rigid phases).  A block's
-        entries come out in (pixel, time, tap) order, the order of K's rows.
+        values off the grid contribute zero, which realizes the data cutoff.
+        The phase's time factor is computed once per build, and |grad phi|
+        at the gradient's own shape: once per time where it depends on t
+        alone (static and rigid phases).  A block's entries come out in
+        (pixel, time, tap) order, the order of K's rows.
         """
         start = time.perf_counter()
         pf = self.pf
@@ -1090,9 +1084,8 @@ class LevelSetTransform:
         def block(b):
             # (pixel, time) arrays
             x = pts[b * px_per_block:(b + 1) * px_per_block, None, :]
-            mask = pf.branch_mask(t, x)
             phi, g = pf._eval_grad_at(t, factor, x)
-            sc = (np.where(mask, phi, np.nan) - s0) / ds
+            sc = (phi - s0) / ds
             wj = (np.asarray(self.mu(t, x), dtype=float)
                   * np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]))
             flat = np.flatnonzero(np.isfinite(sc) & (sc >= 0.0) & (sc <= ns - 1.0))
@@ -1127,9 +1120,9 @@ class LevelSetTransform:
     def adjoint(self, g):
         """Apply the adjoint: per-pixel time quadrature of mu * J * g(phi, t).
 
-        Phase values outside the s grid (and off-branch samples) contribute
-        zero, realizing the data cutoff.  NaN samples read as zero.  Data
-        on another (s, t) grid raise ValueError (``check_sinogram``).
+        Phase values outside the s grid contribute zero, realizing the data
+        cutoff.  NaN samples read as zero.  Data on another (s, t) grid
+        raise ValueError (``check_sinogram``).
 
         ``g.values`` may carry leading stack axes, ``(..., ns, nt)``; the
         image's values are then ``(..., nx, ny)``, K is read once for the

@@ -349,15 +349,6 @@ def test_fanbeam_constant_on_rays(rng):
         assert np.ptp(vals) < 1e-12
 
 
-def test_fanbeam_branch_error():
-    pf = make_fanbeam_phase(3.0)
-    t = pf.t_range[0]
-    # x^1 well below R cos t violates the branch sign
-    bad = np.array([3.0 * math.cos(t) - 0.5, 0.0])
-    with pytest.raises(BranchError):
-        pf.eval(t, bad)
-
-
 def test_fanbeam_needs_enclosing_circle():
     with pytest.raises(ValueError):
         make_fanbeam_phase(1.0)

@@ -9,20 +9,24 @@ from curvetomo import (
     ConfigError,
     GeometryConfig,
     OutOfRangeError,
+    SinoSpec,
     Sinogram,
+    UnitWeight,
     build_geometry,
     crc64,
     fanbeam_convert,
     fan_to_parallel,
+    make_fanbeam_phase,
     make_image_grid,
+    make_static_phase,
     read_grid_file,
     write_grid_file,
     write_pgm16,
 )
 from curvetomo.cli import main
 from curvetomo.geometry import fd_derivatives
-from curvetomo.operators import integrate_lines
-from curvetomo.phantom import EllipseSpec, render_phantom
+from curvetomo.operators import LevelSetTransform, integrate_lines
+from curvetomo.phantom import EllipseSpec, default_phantom, render_phantom
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,27 @@ def test_fan_rebin_two_path(fan_data):
     rel = math.sqrt(np.nansum((g_par.values - ref) ** 2) / np.sum(ref[ok] ** 2))
     assert rel < 0.03
     assert info["jacobian_applied"] is False
+
+
+def test_fan_transform_rebins_to_the_static_transform():
+    """The fan transform's s axis is the fan angle that fanbeam_convert
+    reads.  The fan forward over the full circle, rebinned onto an (s, beta)
+    grid, equals the static forward on that grid: relative L2 0.0108 at
+    64^2 (nt 180).  With the fan angle's sign flipped it reads 0.48."""
+    img = make_image_grid(64)
+    f = render_phantom(default_phantom(), 64)
+    full = (0.0, 2 * math.pi)
+    fan = LevelSetTransform(make_fanbeam_phase(3.0), UnitWeight(), img,
+                            SinoSpec(ns=68, nt=180, t_range=full))
+    assert fan.plan.n_failed == 0
+    g_par, info = fanbeam_convert(fan.forward(f), 3.0, ns=68, n_beta=180, s_range=(-1.0, 1.0),
+                                  beta_range=(0.0, 179 * 2 * math.pi / 180))
+    static = LevelSetTransform(make_static_phase(), UnitWeight(), img,
+                               SinoSpec(ns=68, nt=180, s_range=(-1.0, 1.0), t_range=full))
+    static.check_sinogram(g_par)
+    assert info["uncovered_cells"] == 0
+    ref = static.forward(f).values
+    assert math.sqrt(np.sum((g_par.values - ref) ** 2) / np.sum(ref ** 2)) < 0.02
 
 
 def test_fan_rebin_exact_coordinate_map():
@@ -537,20 +562,22 @@ def test_cli_check_bolker_and_symbol(small_config, tmp_path):
     assert (tmp_path / "sym" / "symbol.csv").exists()
 
 
-def test_cli_check_bolker_off_branch_exit_4(tmp_path, capsys):
-    """A fan t_range that puts no grid point on the phase's branch leaves
-    nothing to check: exit 4 with a message, not a traceback."""
+def test_cli_check_bolker_fan_off_window(tmp_path):
+    """A fan t_range outside the default window is checked at every sample
+    of the grid and every time: the fan angle is smooth at every t."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phase": {"family": "fanbeam", "R": 3.0},
                                "t_range": [0.0, 1.0]}))
-    assert main(["check-bolker", "--config", str(cfg), "--out-dir", str(tmp_path / "cb")]) == 4
-    assert "branch" in capsys.readouterr().err
+    assert main(["check-bolker", "--config", str(cfg), "--out-dir", str(tmp_path / "cb"),
+                 "--grid", "5", "--times", "3"]) == 0
+    rows = (tmp_path / "cb" / "bolker.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 5 * 5 * 3
 
 
 def _check_bolker_per_sample(config_path, pgm_path, grid, times):
     """check-bolker as a loop over the samples: a frame and two dt calls per
-    branch-valid sample, and dPi_Y (sigma = 1) assembled one 4x4 matrix at a
-    time.  Returns the CSV text, the PGM bytes and the manifest's metrics."""
+    sample, and dPi_Y (sigma = 1) assembled one 4x4 matrix at a time.
+    Returns the CSV text, the PGM bytes and the manifest's metrics."""
     with open(config_path) as fh:
         pf, _, _, image_kw = build_geometry(GeometryConfig.from_json(fh.read()))
     r = image_kw["support_radius"]
@@ -562,8 +589,6 @@ def _check_bolker_per_sample(config_path, pgm_path, grid, times):
         for i, x1 in enumerate(xs):
             for j, x2 in enumerate(xs):
                 x = np.array([x1, x2])
-                if not pf.branch_mask(t, x):
-                    continue
                 f = fd_derivatives(pf, float(t), x)
                 h_fd = pf.fd_step
                 dtt = (float(pf.dt(t + h_fd, x)) - float(pf.dt(t - h_fd, x))) / (2 * h_fd)
@@ -731,6 +756,44 @@ def test_cli_fanbeam_convert(tmp_path):
         assert json.loads((od / "manifest.json").read_text())["metrics"]["R"] == float(R)
         payloads.append((od / "parallel.grid").read_bytes())
     assert payloads[0] != payloads[1]
+
+
+def test_cli_fan_forward_then_fanbeam_convert(tmp_path):
+    """A fan sinogram sits on the fan-angle axis that fanbeam-convert reads:
+    forward then fanbeam-convert on one fan config exits 0."""
+    cfg = tmp_path / "fan.json"
+    cfg.write_text(json.dumps({"phase": {"family": "fanbeam", "R": 3.0},
+                               "image": {"nx": 32}, "sinogram": {"nt": 60}}))
+    base = ["--config", str(cfg)]
+    assert main(["phantom", *base, "--out-dir", str(tmp_path / "ph")]) == 0
+    assert main(["forward", *base, "--out-dir", str(tmp_path / "fw"),
+                 "--image", str(tmp_path / "ph" / "phantom.grid")]) == 0
+    assert main(["fanbeam-convert", *base, "--out-dir", str(tmp_path / "rb"),
+                 "--data", str(tmp_path / "fw" / "sinogram.grid")]) == 0
+    par, _ = read_grid_file(tmp_path / "rb" / "parallel.grid")
+    assert np.isfinite(par.values).any()
+
+
+def test_cli_fan_16_forwards_every_curve(tmp_path):
+    """A 16^2 fan, which once failed 8 of its curves, forwards with none."""
+    cfg = tmp_path / "fan.json"
+    cfg.write_text(json.dumps({"phase": {"family": "fanbeam", "R": 3.0}, "image": {"nx": 16}}))
+    assert main(["phantom", "--config", str(cfg), "--out-dir", str(tmp_path / "ph")]) == 0
+    assert main(["forward", "--config", str(cfg), "--out-dir", str(tmp_path / "fw"),
+                 "--image", str(tmp_path / "ph" / "phantom.grid")]) == 0
+    manifest = json.loads((tmp_path / "fw" / "manifest.json").read_text())
+    assert manifest["metrics"]["failed_curves"] == 0
+
+
+def test_cli_fan_symbol_and_visibility_off_window(tmp_path):
+    """A fan whose t_range leaves the default window: every witness time is
+    on the phase's domain, so symbol and visibility exit 0."""
+    cfg = tmp_path / "fan.json"
+    cfg.write_text(json.dumps({"phase": {"family": "fanbeam", "R": 3.955, "t_margin": 0.168},
+                               "t_range": [4.773, 6.735]}))
+    for command in (["symbol"], ["visibility", "--point", "0.1,0.0"]):
+        assert main(command + ["--config", str(cfg),
+                               "--out-dir", str(tmp_path / command[0])]) == 0, command
 
 
 def test_cli_manifest_lists_every_output(tiny_run, tmp_path):

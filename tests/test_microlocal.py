@@ -331,7 +331,6 @@ def test_dpiy_batch_equals_per_sample(make_pf, rng):
     """One batched call gives each sample's rank and, to within one ulp, its
     determinant, with sigma shared by the batch or given per sample."""
     pf = make_pf()
-    # inside the disk of radius 0.9: on the fan's branch at every time of its window
     t, x = support_samples(rng, 40, radius=0.9, t_range=pf.t_range)
     sig = rng.uniform(0.3, 2.0, 40) * rng.choice([-1.0, 1.0], 40)
     for sigma in (-1.7, sig):

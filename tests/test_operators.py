@@ -25,6 +25,7 @@ from curvetomo import (
     make_image_grid,
     make_static_phase,
 )
+from curvetomo.geometry import StaticPhase
 from curvetomo.operators import LevelSetTransform
 from curvetomo.phantom import EllipseSpec, render_phantom
 
@@ -113,8 +114,8 @@ def _disk_oracle_error(case, nx, ns):
       level sets there are the lines x . omega(t) = (1 + a sin t) s, so
       g = chord(r, (1 + a sin t) s);
     * fan R = 3, the disk of the rotation case: the level set is the ray
-      from S(t) = R (cos t, sin t) along omega(s - pi/2), so
-      g = chord(r, (c - S(t)) . omega(s)).
+      from S(t) = R (cos t, sin t) at fan angle s from -S(t), along
+      -omega(t + s), so g = chord(r, (c - S(t)) . omega(t + s - pi/2)).
     """
     from curvetomo.geometry import omega
 
@@ -135,16 +136,16 @@ def _disk_oracle_error(case, nx, ns):
         exact = _chord(r, (1 + 0.05 * np.sin(T)) * S)
     else:
         source = 3.0 * np.stack([np.cos(T), np.sin(T)], axis=-1)
-        exact = _chord(r, np.sum((c - source) * omega(S), axis=-1))
+        exact = _chord(r, np.sum((c - source) * omega(T + S - 0.5 * math.pi), axis=-1))
     m = exact > 0
-    assert m.sum() > 0.05 * m.size      # the fan's chords cover 9% of its bins
+    assert m.sum() > 0.05 * m.size
     return math.sqrt(np.sum((g[m] - exact[m]) ** 2) / np.sum(exact[m] ** 2))
 
 
 @pytest.mark.parametrize("case", ["rotation", "breathing", "fan"])
 def test_disk_chord_oracle_dynamic_and_fan(case):
     """The disk oracles of ``_disk_oracle_error`` at 128^2 with ns = 135;
-    measured 0.0043 (rotation), 0.0057 (breathing) and 0.0041 (fan)."""
+    measured 0.0043 (rotation), 0.0057 (breathing) and 0.0048 (fan)."""
     assert _disk_oracle_error(case, 128, 135) < 0.01
 
 
@@ -154,8 +155,7 @@ def test_disk_chord_oracle_fine_s_dynamic_and_fan(case, ns):
     """``test_disk_chord_oracle_fine_s`` on the dynamic and fan geometries:
     the disk oracles of ``_disk_oracle_error`` at 64^2 with ds about h/2 and
     h/4.  Measured at ns = 135 / 269: 0.0091 / 0.0092 (rotation),
-    0.0091 / 0.0093 (breathing), 0.0087 / 0.0087 (fan), the same with the
-    plan at half-pixel and at one-pixel steps."""
+    0.0091 / 0.0093 (breathing), 0.0093 / 0.0092 (fan)."""
     assert _disk_oracle_error(case, 64, ns) < 0.01
 
 
@@ -185,8 +185,8 @@ def test_plan_samples_each_curve_once_per_pixel(static_pf):
 def test_plan_quadrature_converged(case, monkeypatch):
     """The forward at the plan's step against one at a quarter-pixel step,
     on a smooth field and on an off-centre disk, at 32^2: relative L2
-    difference at most 1e-3, measured 3.9e-4 to 4.4e-4 (smooth field) and
-    1.5e-4 to 1.7e-4 (disk) across the cases, about 20 times below the
+    difference at most 1e-3, measured 3.9e-4 to 4.5e-4 (smooth field) and
+    1.5e-4 to 1.8e-4 (disk) across the cases, about 20 times below the
     disk oracles' discretization error at 64^2."""
     from curvetomo import operators
 
@@ -452,7 +452,7 @@ def _stack(grid, slices):
     return grid.like(np.stack([s.values for s in slices]))
 
 
-@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "nan_disk"])
 def test_stacks_equal_their_slices(case):
     """forward and adjoint on stacks of 1, 3 and 4 slices, and on a (2, 2)
     stack, give every slice the bytes of that slice alone.  Failed curves
@@ -460,7 +460,7 @@ def test_stacks_equal_their_slices(case):
     stack over the NaN budget is refused as one image is."""
     pf, mu, kw = _geometry(case)
     img = make_image_grid(32)
-    spec = SinoSpec(ns=35, nt=48)
+    spec = _spec32(case)
     tr = LevelSetTransform(pf, mu, img, spec, **kw)
     fs = [smooth_field(img, 60 + i, sigma=1.5) for i in range(4)]
     gs = [smooth_sino(tr, 64 + i) for i in range(4)]
@@ -481,7 +481,7 @@ def test_stacks_equal_their_slices(case):
     assert square.tobytes() == fwd.tobytes()
     back = tr.adjoint(gs[0].like(_stack(gs[0], gs).values.reshape(2, 2, 35, 48))).values
     assert back.shape == (2, 2, 32, 32) and back.tobytes() == adj.tobytes()
-    if case == "fan":
+    if case == "nan_disk":
         assert failed.any()
         strict = LevelSetTransform(pf, mu, img, spec, nan_budget=0.0)
         assert strict.plan.n_failed > strict.nan_budget * strict.plan.n_curves
@@ -677,17 +677,14 @@ def test_empty_plan_transform_is_zero(static_pf):
 
 
 def _nearest_seeds_per_time(tr, seeds):
-    """Reference seed choice, one time at a time over the seeds on the
-    branch: the first seed nearest each s, kept within its capture
-    window."""
+    """Reference seed choice, one time at a time over the seeds with a
+    finite phase value: the first seed nearest each s, kept within its
+    capture window."""
     pf, ns = tr.pf, len(tr.s_grid)
     cell = float(np.max(np.abs(np.diff(np.unique(seeds[:, 0])))))
     sel = np.full((len(tr.t_grid), ns), -1, dtype=np.int64)
     for j, t in enumerate(tr.t_grid):
-        mask = pf.branch_mask(t, seeds)
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
+        idx = np.flatnonzero(np.isfinite(pf._eval_raw(t, seeds)))
         vals, grads = pf._eval_grad_raw(t, seeds[idx])
         capture = 0.9 * np.hypot(grads[:, 0], grads[:, 1]) * cell * math.sqrt(2.0) + 1e-12
         diff = np.abs(vals[:, None] - tr.s_grid[None, :])
@@ -697,27 +694,25 @@ def _nearest_seeds_per_time(tr, seeds):
     return sel
 
 
-@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "fan_full"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "fan_full",
+                                  "nan_disk"])
 def test_nearest_seeds_match_the_per_time_choice(case, monkeypatch):
     """The plan's seed choice over all (time, seed) pairs at once, in
-    blocks of times, equals the choice made one time at a time.  The full
-    fan range has times with some and with all seeds off the branch, and
+    blocks of times, equals the choice made one time at a time, and
     one-time blocks cover the block edges.  An s range past the support
-    leaves samples with no seed in the other cases."""
+    leaves samples with no seed; ``fan_full`` takes the fan over the full
+    circle of times.  A seed where the phase is NaN captures nothing."""
     from curvetomo import operators
 
     pf, mu, kw = _geometry(case.removesuffix("_full"))
-    if case.startswith("fan"):
-        spec = SinoSpec(ns=35, nt=48, t_range=(0.0, 2 * math.pi) if case == "fan_full" else None)
-    else:
-        spec = SinoSpec(ns=35, nt=48, s_range=(-1.6, 1.6))
+    spec = SinoSpec(ns=35, nt=48, s_range=(-1.6, 1.6),
+                    t_range=(0.0, 2 * math.pi) if case == "fan_full" else None)
     tr = LevelSetTransform(pf, mu, make_image_grid(32), spec, **kw)
     seeds = tr._seed_points()
     expected = _nearest_seeds_per_time(tr, seeds)
-    if case == "fan_full":
-        on = pf.branch_mask(tr.t_grid[:, None], seeds)
-        assert np.any(on.all(axis=1)) and np.any(~on.any(axis=1))
-        assert np.any(on.any(axis=1) & ~on.all(axis=1))
+    if case == "nan_disk":
+        hole = np.flatnonzero(np.isnan(pf._eval_raw(0.0, seeds)))
+        assert len(hole) and not np.isin(expected, hole).any()
     assert np.any(expected >= 0) and np.any(expected == -1)
     np.testing.assert_array_equal(tr._nearest_seeds(seeds), expected)
     monkeypatch.setattr(operators, "_SEED_BLOCK_CELLS", 1)
@@ -784,8 +779,7 @@ def _quadrature_adjoint(tr, g):
     s0, ds, ns = tr.s_grid[0], tr.s_grid[1] - tr.s_grid[0], len(tr.s_grid)
     total = np.zeros(len(pts))
     for j, t in enumerate(tr.t_grid):
-        mask = tr.pf.branch_mask(t, pts)
-        sc = (np.where(mask, tr.pf._eval_raw(t, pts), np.nan) - s0) / ds
+        sc = (tr.pf._eval_raw(t, pts) - s0) / ds
         grad = tr.pf._grad_x_raw(t, pts)
         w = np.asarray(tr.mu(t, pts), dtype=float) * np.hypot(grad[:, 0], grad[:, 1])
         col = ndimage.spline_filter1d(np.nan_to_num(np.asarray(g.values[:, j], dtype=float)),
@@ -798,6 +792,16 @@ def _quadrature_adjoint(tr, g):
     return (total * dt).reshape(tr.nx, tr.ny)
 
 
+class _NanDiskPhase(StaticPhase):
+    """x . omega(t), with phi NaN in the disk |x - (0.3, 0.2)| < 0.1: a
+    phase the operator cannot compute there."""
+
+    def _eval_grad_at(self, t, w, x):
+        phi, g = super()._eval_grad_at(t, w, x)
+        hole = np.hypot(x[..., 0] - 0.3, x[..., 1] - 0.2) < 0.1
+        return np.where(hole, np.nan, phi), g
+
+
 def _geometry(case):
     if case == "static":
         return make_static_phase(), UnitWeight(), {}
@@ -805,18 +809,26 @@ def _geometry(case):
         return make_dynamic_phase(RotationMotion(0.3)), UnitWeight(), {}
     if case == "breathing_bump":
         return make_dynamic_phase(BreathingMotion(0.05)), BumpWeight(amplitude=0.3), {}
-    return make_fanbeam_phase(3.0), UnitWeight(), {"nan_budget": 0.05}
+    if case == "nan_disk":
+        return _NanDiskPhase(), UnitWeight(), {"nan_budget": 0.15}
+    return make_fanbeam_phase(3.0), UnitWeight(), {}
+
+
+def _spec32(case):
+    """The 32^2 tests' sinogram.  The NaN-disk phase's s range is given,
+    because its range over the support reads NaN."""
+    return SinoSpec(ns=35, nt=48, s_range=(-1.05, 1.05) if case == "nan_disk" else None)
 
 
 def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan"])
+@pytest.mark.parametrize("case", ["static", "rotation", "breathing_bump", "fan", "nan_disk"])
 def test_matrices_match_reference(case):
     pf, mu, kw = _geometry(case)
     img = make_image_grid(32)
-    tr = LevelSetTransform(pf, mu, img, SinoSpec(ns=35, nt=48), **kw)
+    tr = LevelSetTransform(pf, mu, img, _spec32(case), **kw)
     f = smooth_field(img, 51, sigma=1.5)
     g = tr.forward(f).values
     ref = _gather_forward(tr, f)
@@ -882,11 +894,18 @@ def test_forward_matrix_known_answer(case):
     assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
 
 
-def test_fan_geometry_has_failed_curves():
-    """The fan case above exercises the NaN path: its plan marks curves failed."""
-    pf, mu, kw = _geometry("fan")
-    tr = LevelSetTransform(pf, mu, make_image_grid(32), SinoSpec(ns=35, nt=48), **kw)
-    assert tr.plan.failed.any()
+def test_nan_phase_has_failed_curves():
+    """The NaN-disk case above exercises the NaN path: curves through its
+    disk fail, and their samples, and only those, read NaN.  A seed in the
+    disk captures no sample, so no other sample reads a silent zero."""
+    pf, mu, kw = _geometry("nan_disk")
+    img = make_image_grid(32)
+    tr = LevelSetTransform(pf, mu, img, _spec32("nan_disk"), **kw)
+    failed = tr.plan.failed.reshape(len(tr.t_grid), len(tr.s_grid)).T
+    g = tr.forward(img.like(np.ones((32, 32)))).values
+    assert failed.any()
+    assert np.array_equal(np.isnan(g), failed)
+    assert np.all(g[~failed & (np.abs(tr.s_grid)[:, None] < 0.9)] > 0.0)
 
 
 def test_chunk_size_does_not_change_outputs(static_pf, monkeypatch):
